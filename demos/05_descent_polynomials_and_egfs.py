@@ -9,7 +9,10 @@ from rslab import series as sr
 from rslab.binwords import binary_descent_poly
 from rslab.polynomials import (
     descent_multivar_from_end,
+    descent_multivar_from_end_by_first_run,
     peak_poly,
+    peak_poly_by_derivative,
+    peak_poly_by_enumeration,
     run_count_triangle,
     runsorted_descent_poly,
 )
@@ -26,17 +29,17 @@ print()
 
 print("peak polynomials of S_n, three independent routes:")
 for n in range(1, 7):
-    a = peak_poly(n, "insertion").human()
-    b = peak_poly(n, "derivative").human()
-    c = peak_poly(n, "enum").human()
+    a = peak_poly(n).human()
+    b = peak_poly_by_derivative(n).human()
+    c = peak_poly_by_enumeration(n).human()
     print(f"  n={n}: {a}   (routes agree: {a == b == c})")
 print()
 
 # The same multivariate polynomial out of two different recursions.
-m = descent_multivar_from_end(5, "rec1")
+m = descent_multivar_from_end_by_first_run(5)
 print("multivariate descent polynomial, n=5 (positions from the end):")
 print(" ", m.to_json())
-print("  rec1 == reck:", m == descent_multivar_from_end(5, "reck"))
+print("  first-run recursion == 1-and-2 recursion:", m == descent_multivar_from_end(5))
 print()
 
 g = sr.egf_runsorted_descents(9)

@@ -38,8 +38,9 @@ import csv
 from typing import Iterator, Sequence
 
 from .perms import (
-    CapExceeded,
     Word,
+    check_cap,
+    enumerate_sn,
     is_permutation,
     is_runsorted,
     peak_values,
@@ -420,10 +421,8 @@ def residual_census(n: int, a: int) -> dict[int, list[Word]]:
     All permutations of [n] falling in each residual class for the anchor
     a (relative to inserting n+1).
     """
-    import itertools
-
     out: dict[int, list[Word]] = {1: [], 2: [], 3: [], 4: [], 5: []}
-    for p in itertools.permutations(range(1, n + 1)):
+    for p in enumerate_sn(n):
         if a not in slope_set(p):
             continue
         if is_slope_admissible(p, a) or in_swap_image(p, a):
@@ -638,7 +637,7 @@ def _pairing_key(kind: str, a: Anchor, p: Word) -> tuple:
     return (5, "new", k) if a < k else (5, "keep")
 
 
-def build_peak_transport(n: int, max_n: int | None = None) -> dict[Word, Word]:
+def build_peak_transport(n: int) -> dict[Word, Word]:
     """
     Explicit bijection of S_n sending the peak-value set of each
     permutation to the sorted peak-value set of its image while
@@ -647,16 +646,10 @@ def build_peak_transport(n: int, max_n: int | None = None) -> dict[Word, Word]:
 
     The matching inside each bucket is by increasing anchor, which makes
     the table deterministic; buckets of unequal size would mean the
-    invariants are broken and raise immediately.
+    invariants are broken and raise immediately.  The table holds n!
+    entries, so it stops at n = TRANSPORT_CAP below the general cap.
     """
-    cap = TRANSPORT_CAP if max_n is None else max_n
-    if n > cap:
-        raise CapExceeded(
-            f"peak transport table for S_{n} refused: cap is {cap} "
-            "(pass max_n to override)"
-        )
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_cap(n, TRANSPORT_CAP)
     table: dict[Word, Word] = {(1,): (1,)}
     for m in range(2, n + 1):
         nxt: dict[Word, Word] = {}

@@ -19,10 +19,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .perms import CapExceeded
+from .perms import enumerate_sn
 from .polynomials import MPoly, Poly
-
-MAJ_PAIR_CAP = 11
 
 
 def bw_runs(w: str) -> list[str]:
@@ -47,11 +45,6 @@ def bw_runsort(w: str) -> str:
 def is_runsorted_word(w: str) -> bool:
     rr = bw_runs(w)
     return all(rr[i] <= rr[i + 1] for i in range(len(rr) - 1))
-
-
-def zeros_ones(w: str) -> tuple[int, int]:
-    z = w.count("0")
-    return z, len(w) - z
 
 
 def run_blocks(w: str) -> list[tuple[int, int]]:
@@ -306,10 +299,10 @@ def maj_pair_table(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n == 0:
         return ((1,),)
+    it = enumerate_sn(n)
     top = n * (n - 1) // 2
     table = np.zeros((top + 1, top + 1), dtype=np.int64)
     pos = np.arange(1, n, dtype=np.int64)
-    it = itertools.permutations(range(n))
     while True:
         chunk = list(itertools.islice(it, 200_000))
         if not chunk:
@@ -322,14 +315,9 @@ def maj_pair_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in table)
 
 
-def maj_pair_count(a: int, b: int, cap: int = MAJ_PAIR_CAP) -> int:
+def maj_pair_count(a: int, b: int) -> int:
     """Number of permutations of [a+b] with maj = a and inverse maj = b."""
-    n = a + b
-    if n > cap:
-        raise CapExceeded(
-            f"maj-pair count needs all of S_{n}; cap is {cap} (pass cap= to override)"
-        )
-    table = maj_pair_table(n)
+    table = maj_pair_table(a + b)
     if a >= len(table) or b >= len(table):
         return 0
     return table[a][b]

@@ -156,12 +156,14 @@ def _suite_eta(args) -> dict:
         if perms.peak_values(sig) != perms.spv(img) or perms.run_starts(sig) != perms.run_starts(img):
             bad.append([list(sig), list(img)])
     ok = not bad and len(table) == factorial(n) and len(set(table.values())) == factorial(n)
-    return {"schema": SCHEMA, "suite": "eta", "n": n, "verdict": ok, "failures": bad[:10]}
+    return {"schema": SCHEMA, "suite": "eta", "n": n, "verdict": ok,
+            "n_failures": len(bad), "failures": bad[:10]}
 
 
 def _suite_interlacing(args) -> dict:
     rep = rr.verify_interlacing_family(args.family or "R", args.max_n or 25)
     rep["suite"] = "interlacing"
+    rep["n_failures"] = len(rep["failures"])
     return rep
 
 
@@ -169,32 +171,24 @@ def _suite_same_phase(args) -> dict:
     family = args.family or "Q"
     n_max = args.max_n or 8
     samples = args.samples
-    if args.parallel > 1:
+    # one shard per worker over consecutive sample ranges; at least one
+    # shard, so that a scan of zero samples still reports
+    workers = max(1, args.parallel)
+    chunk = max(1, (samples + workers - 1) // workers)
+    jobs = [
+        (family, n_max, min(chunk, samples - start), args.seed, start)
+        for start in range(0, max(samples, 1), chunk)
+    ]
+    if len(jobs) > 1:
         from multiprocessing import Pool
 
-        chunk = (samples + args.parallel - 1) // args.parallel
-        jobs = [
-            (family, n_max, min(chunk, samples - start), args.seed, start)
-            for start in range(0, samples, chunk)
-        ]
-        with Pool(args.parallel) as pool:
+        with Pool(len(jobs)) as pool:
             parts = pool.starmap(rr.conjecture_scan, jobs)
-        failures = sorted(
-            (f for part in parts for f in part["failures"]),
-            key=lambda d: (d["n"], d["sample"]),
-        )
-        rep = {
-            "schema": SCHEMA,
-            "family": family,
-            "max_n": n_max,
-            "samples": samples,
-            "seed": args.seed,
-            "verdict": not failures,
-            "failures": failures,
-        }
     else:
-        rep = rr.conjecture_scan(family, n_max, samples, args.seed)
+        parts = [rr.conjecture_scan(*jobs[0])]
+    rep = rr.merge_scans(parts)
     rep["suite"] = "same-phase"
+    rep["n_failures"] = len(rep["failures"])
     return rep
 
 
@@ -207,14 +201,10 @@ def _suite_egf(args) -> dict:
         "sheffer": sr.sheffer_product_check(min(order, 10)),
     }
     means = sr.expected_peaks_series(10)
-    ok = (
-        reports["runsorted"]["ok"]
-        and reports["peaks"]["ok"]
-        and reports["binary"]["ok"]
-        and reports["sheffer"]["identity_holds"]
-        and means[5] == 1
-    )
-    return {"schema": SCHEMA, "suite": "egf", "verdict": ok, "reports": reports}
+    checks = [reports["runsorted"]["ok"], reports["peaks"]["ok"], reports["binary"]["ok"],
+              reports["sheffer"]["identity_holds"], means[5] == 1]
+    return {"schema": SCHEMA, "suite": "egf", "verdict": all(checks),
+            "n_failures": checks.count(False), "reports": reports}
 
 
 def _suite_binary(args) -> dict:
@@ -243,6 +233,7 @@ def _suite_binary(args) -> dict:
         "suite": "binary",
         "max_n": top,
         "verdict": not problems,
+        "n_failures": len(problems),
         "failures": problems,
         "note": "pure words 0^a and 1^b are run-sorted but lie outside the "
         "positive-pair product formula; both sides are asserted as such",
@@ -263,7 +254,8 @@ def _suite_mip(args) -> dict:
         got = bw.maj_pair_count(a, b)
         if got != want:
             bad.append({"a": a, "b": b, "got": got, "want": want})
-    return {"schema": SCHEMA, "suite": "mip", "max_n": top, "verdict": not bad, "failures": bad}
+    return {"schema": SCHEMA, "suite": "mip", "max_n": top, "verdict": not bad,
+            "n_failures": len(bad), "failures": bad}
 
 
 def _suite_golden(args) -> dict:
@@ -273,6 +265,7 @@ def _suite_golden(args) -> dict:
         "schema": SCHEMA,
         "suite": "golden",
         "verdict": all(r["ok"] for r in reports),
+        "n_failures": sum(1 for r in reports if not r["ok"]),
         "reports": reports,
     }
 
@@ -295,6 +288,7 @@ def _suite_admissibility(args) -> dict:
         "suite": "admissibility",
         "max_n": top + 1,
         "verdict": not bad,
+        "n_failures": len(bad),
         "failures": bad[:10],
     }
 
@@ -317,10 +311,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     human = f"{args.suite}: {'pass' if ok else 'FAIL'}"
     if not ok:
         human += "\n" + json.dumps(report.get("failures", report), sort_keys=True, default=str)
-    n_fail = len(report.get("failures", [])) if isinstance(report.get("failures"), list) else 0
     _emit_report(
         report, args.format, args.out, human,
-        csv_data=(["suite", "verdict", "failures"], [[args.suite, ok, n_fail]]),
+        csv_data=(["suite", "verdict", "failures"], [[args.suite, ok, report["n_failures"]]]),
     )
     if ok:
         return 0

@@ -16,8 +16,11 @@ Conventions used throughout the package:
   before its extensions).
 
 All functions are pure and all values immutable, so everything here is
-safe to use from multiple threads.  The enumeration helpers yield
-streams and never materialise n! objects at once.
+safe to use from multiple threads.  ``enumerate_sn`` streams S_n and
+never materialises n! objects at once; ``enumerate_runsorted`` builds its
+Bell(n-1) words in a list, through the set-partition bijection.  Every
+exhaustive route in the package refuses sizes above one cap, enforced by
+``check_cap``.
 """
 from __future__ import annotations
 
@@ -33,13 +36,6 @@ DEFAULT_MAX_N = 11
 
 class CapExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured size cap."""
-
-
-def _enumeration_cap() -> int:
-    raw = os.environ.get("RSLAB_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    return int(raw)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -223,27 +219,34 @@ def inverse(perm: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def enumerate_sn(n: int, max_n: int | None = None) -> Iterator[Word]:
-    """
-    Stream all n! permutations of [n] in lexicographic order.
-
-    Refuses n above the cap (default 11, env var RSLAB_MAX_N) so a typo
-    cannot silently start a multi-day enumeration.
-    """
-    cap = _enumeration_cap() if max_n is None else max_n
+def check_cap(n: int, limit: int | None = None) -> None:
+    """The one size guard of every exhaustive route over S_n: refuse n
+    above the cap (default 11, env var RSLAB_MAX_N, at most ``limit``) so
+    a typo cannot silently start a multi-day enumeration."""
+    cap = int(os.environ.get("RSLAB_MAX_N", DEFAULT_MAX_N))
+    hint = "raise RSLAB_MAX_N to override"
+    if limit is not None and limit < cap:
+        cap, hint = limit, "this route holds n! objects in memory"
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
-        raise CapExceeded(
-            f"refusing to enumerate S_{n}: cap is {cap} "
-            "(raise RSLAB_MAX_N or pass max_n to override)"
-        )
+        raise CapExceeded(f"refusing to enumerate S_{n}: cap is {cap} ({hint})")
+
+
+def enumerate_sn(n: int) -> Iterator[Word]:
+    """Stream all n! permutations of [n] in lexicographic order."""
+    check_cap(n)
     return iter(itertools.permutations(range(1, n + 1)))
 
 
-def enumerate_runsorted(n: int, max_n: int | None = None) -> Iterator[Word]:
-    """Stream the permutations of [n] fixed by runsort, in lexicographic order."""
-    return (p for p in enumerate_sn(n, max_n=max_n) if is_runsorted(p))
+def enumerate_runsorted(n: int) -> list[Word]:
+    """The permutations of [n] fixed by runsort, in lexicographic order:
+    the images of the Bell(n-1) set partitions of [n-1] (each one starts
+    with 1)."""
+    from .bijections import enumerate_set_partitions, partition_to_runsorted  # imports perms
+
+    check_cap(n)
+    return sorted(partition_to_runsorted(p) for p in enumerate_set_partitions(n - 1))
 
 
 # Serialisation --------------------------------------------------------------

@@ -359,38 +359,31 @@ def run_count_poly(n: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def descent_multivar_from_end(n: int, method: str = "reck") -> MPoly:
+def descent_multivar_from_end(n: int) -> MPoly:
     """
     Multivariate descent-set polynomial of run-sorted permutations of [n]
     with descent positions indexed from the *end* of the word: the word
     with descent set D contributes the monomial prod_{j in D} x_{n-j}.
 
-    Three interchangeable routes (used to cross-check each other):
-
-    - "rec1": peel the first run; weight (C(n-1, i) - 1).
-    - "reck": split on whether 1 and 2 share a run; weight C(n-2, i-1).
-    - "enum": direct summation over the run-sorted permutations.
+    Recursion on whether 1 and 2 share a run, with weight C(n-2, i-1).
     """
-    if method == "enum":
-        out = MPoly()
-        for p in perms.enumerate_runsorted(n):
-            out = out + MPoly.from_set({n - j for j in perms.descent_set(p)})
-        return out
-    if method == "rec1":
-        out = MPoly.const(1)
-        for i in range(1, n - 1):
-            w = comb(n - 1, i) - 1
-            out = out + MPoly.from_set([i], w) * descent_multivar_from_end(i, "rec1")
-        return out
-    if method == "reck":
-        if n == 1:
-            return MPoly.const(1)
-        out = descent_multivar_from_end(n - 1, "reck")
-        for i in range(1, n - 1):
-            w = comb(n - 2, i - 1)
-            out = out + MPoly.from_set([i], w) * descent_multivar_from_end(i, "reck")
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    if n == 1:
+        return MPoly.const(1)
+    out = descent_multivar_from_end(n - 1)
+    for i in range(1, n - 1):
+        out = out + MPoly.from_set([i], comb(n - 2, i - 1)) * descent_multivar_from_end(i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def descent_multivar_from_end_by_first_run(n: int) -> MPoly:
+    """Oracle for :func:`descent_multivar_from_end`: peel the first run,
+    with weight C(n-1, i) - 1."""
+    out = MPoly.const(1)
+    for i in range(1, n - 1):
+        w = comb(n - 1, i) - 1
+        out = out + MPoly.from_set([i], w) * descent_multivar_from_end_by_first_run(i)
+    return out
 
 
 def descent_multivar(n: int) -> MPoly:
@@ -399,10 +392,17 @@ def descent_multivar(n: int) -> MPoly:
     with *absolute* descent positions: each word contributes
     prod_{j in DES} x_j.  This is the same-phase-stability test subject.
     """
-    out = MPoly()
-    for p in perms.enumerate_runsorted(n):
-        out = out + MPoly.from_set(perms.descent_set(p))
-    return out
+    return descent_multivar_from_end(n).relabel({j: n - j for j in range(1, n)})
+
+
+def descent_multivar_by_enumeration(n: int) -> MPoly:
+    """Oracle for :func:`descent_multivar`: filter all of S_n."""
+    out: dict[Monomial, Scalar] = {}
+    for p in perms.enumerate_sn(n):
+        if perms.is_runsorted(p):
+            key = monomial_from_set(perms.descent_set(p))
+            out[key] = out.get(key, 0) + 1
+    return MPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -459,67 +459,65 @@ def peak_triangle(n_max: int) -> list[list[int]]:
     return rows
 
 
-def peak_poly(n: int, method: str = "insertion") -> Poly:
+def peak_poly(n: int) -> Poly:
     """
     Peak generating polynomial of S_n: coefficient of t^k counts the
-    permutations with k peaks.
-
-    Methods: "insertion" (triangle recurrence), "derivative"
-    (B_n = (2 + t(n-2)) B_{n-1} + 2t(1-t) B'_{n-1}), "enum".
+    permutations with k peaks, read off the insertion triangle.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method == "insertion":
-        return Poly(peak_triangle(n)[n - 1])
-    if method == "derivative":
-        b = Poly.const(1)
-        t = Poly.t()
-        for m in range(2, n + 1):
-            b = (Poly.const(2) + (m - 2) * t) * b + 2 * t * (1 - t) * b.derivative()
-        return b
-    if method == "enum":
-        counts: dict[int, int] = {}
-        for p in perms.enumerate_sn(n):
-            k = perms.peaks(p)
-            counts[k] = counts.get(k, 0) + 1
-        return Poly([counts.get(i, 0) for i in range(max(counts) + 1)])
-    raise ValueError(f"unknown method {method!r}")
+    return Poly(peak_triangle(n)[n - 1])
+
+
+def peak_poly_by_derivative(n: int) -> Poly:
+    """Oracle for :func:`peak_poly`:
+    B_n = (2 + t(n-2)) B_{n-1} + 2t(1-t) B'_{n-1}."""
+    b = Poly.const(1)
+    t = Poly.t()
+    for m in range(2, n + 1):
+        b = (Poly.const(2) + (m - 2) * t) * b + 2 * t * (1 - t) * b.derivative()
+    return b
+
+
+def peak_poly_by_enumeration(n: int) -> Poly:
+    """Oracle for :func:`peak_poly`: count the peaks of all of S_n."""
+    counts: dict[int, int] = {}
+    for p in perms.enumerate_sn(n):
+        k = perms.peaks(p)
+        counts[k] = counts.get(k, 0) + 1
+    return Poly([counts.get(i, 0) for i in range(max(counts) + 1)])
 
 
 @lru_cache(maxsize=None)
-def peak_multivar(n: int, method: str = "recursion") -> MPoly:
+def peak_multivar(n: int) -> MPoly:
     """
     Multivariate peak-value polynomial of S_n: each permutation
     contributes prod of x_v over its peak values v.
 
-    "recursion" places the letter n at every position: at either border it
-    contributes 2*previous, and as a peak at position k it splits the
+    The recursion places the letter n at every position: at either border
+    it contributes 2*previous, and as a peak at position k it splits the
     remaining letters into an ordered pair of smaller instances on
     complementary variable sets.
     """
-    if method == "enum":
-        out: dict[Monomial, Scalar] = {}
-        for p in perms.enumerate_sn(n):
-            key = monomial_from_set(perms.peak_values(p))
-            out[key] = out.get(key, 0) + 1
-        return MPoly(out)
-    if method != "recursion":
-        raise ValueError(f"unknown method {method!r}")
     if n == 1:
         return MPoly.const(1)
-    out = 2 * peak_multivar(n - 1, "recursion")
+    out = 2 * peak_multivar(n - 1)
     xn = MPoly.from_set([n])
     universe = list(range(1, n))
     for k in range(2, n):
         left_size = k - 1
         for T in itertools.combinations(universe, left_size):
             rest = [v for v in universe if v not in T]
-            left = peak_multivar(left_size, "recursion").relabel(
-                {i + 1: T[i] for i in range(left_size)}
-            )
-            right = peak_multivar(n - k, "recursion").relabel(
-                {i + 1: rest[i] for i in range(n - k)}
-            )
+            left = peak_multivar(left_size).relabel({i + 1: T[i] for i in range(left_size)})
+            right = peak_multivar(n - k).relabel({i + 1: rest[i] for i in range(n - k)})
             out = out + xn * left * right
     return out
 
+
+def peak_multivar_by_enumeration(n: int) -> MPoly:
+    """Oracle for :func:`peak_multivar`: sum over all of S_n."""
+    out: dict[Monomial, Scalar] = {}
+    for p in perms.enumerate_sn(n):
+        key = monomial_from_set(perms.peak_values(p))
+        out[key] = out.get(key, 0) + 1
+    return MPoly(out)

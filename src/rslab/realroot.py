@@ -49,23 +49,28 @@ def _sign_at(p: Poly, x: Endpoint) -> int:
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
-def _variations(chain: Sequence[Poly], x: Endpoint) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _variations(chain: Sequence[Poly], x: Endpoint) -> tuple[int, int]:
+    """Sign variations of the chain at x, and the sign of chain[0] there."""
+    signs = [_sign_at(p, x) for p in chain]
+    nonzero = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0), signs[0]
 
 
 def count_real_roots(p: Poly, lo: Endpoint = NEG_INF, hi: Endpoint = POS_INF) -> int:
     """
     Number of distinct real roots of p in the half-open interval (lo, hi],
-    by Sturm's theorem (multiple roots counted once; p(lo) must not vanish
-    when lo is finite, which the callers arrange).
+    by Sturm's theorem (multiple roots counted once).  Raises ValueError
+    when lo is a root of p.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no root count")
     if p.degree == 0:
         return 0
     chain = sturm_chain(p)
-    return _variations(chain, lo) - _variations(chain, hi)
+    at_lo, sign_lo = _variations(chain, lo)
+    if sign_lo == 0:
+        raise ValueError(f"lower endpoint {lo} is a root of {p.human()}")
+    return at_lo - _variations(chain, hi)[0]
 
 
 def is_real_rooted(p: Poly) -> bool:
@@ -420,6 +425,15 @@ def conjecture_scan(
         "verdict": not failures,
         "failures": failures,
     }
+
+
+def merge_scans(parts: Sequence[dict]) -> dict:
+    """The ``conjecture_scan`` report of a whole sample range, out of the
+    reports of its consecutive pieces, in range order."""
+    failures = [f for p in parts for f in p["failures"]]
+    failures.sort(key=lambda d: (d["n"], d["sample"]))
+    return {**parts[0], "samples": sum(p["samples"] for p in parts),
+            "verdict": not failures, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

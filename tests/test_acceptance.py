@@ -18,7 +18,12 @@ from rslab import perms
 from rslab import realroot as rr
 from rslab import series as sr
 from rslab import stats as st
-from rslab.polynomials import peak_poly, runsorted_descent_poly
+from rslab.polynomials import (
+    peak_poly,
+    peak_poly_by_derivative,
+    peak_poly_by_enumeration,
+    runsorted_descent_poly,
+)
 
 P = lambda s: tuple(int(c) for c in s)
 
@@ -51,7 +56,8 @@ def test_criterion_02_peak_polynomials_three_ways():
     t0 = time.monotonic()
     expected = {1: "1", 2: "2", 3: "2t+4", 4: "16t+8", 5: "16t^2+88t+16", 6: "272t^2+416t+32"}
     for n, human in expected.items():
-        triple = {peak_poly(n, m).human() for m in ("insertion", "derivative", "enum")}
+        routes = (peak_poly, peak_poly_by_derivative, peak_poly_by_enumeration)
+        triple = {route(n).human() for route in routes}
         assert triple == {human}, (n, triple)
     _report(2, "peak polynomial rows 1..6, three routes agree exactly", t0, 5.0)
 

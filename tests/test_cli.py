@@ -125,6 +125,29 @@ def test_verify_same_phase_small(capsys):
     assert code == 0 and data["verdict"] is True and data["seed"] == 5
 
 
+def test_verify_same_phase_parallel_matches_serial(capsys):
+    argv = ("verify", "same-phase", "--family", "Q", "--max-n", "4",
+            "--samples", "6", "--seed", "5", "--format", "json")
+    code1, serial, _ = run(capsys, *argv, "--parallel", "1")
+    code2, parallel, _ = run(capsys, *argv, "--parallel", "2")
+    assert code1 == code2 == 0
+    assert serial == parallel
+    assert json.loads(serial)["first_sample"] == 0
+
+
+def test_verify_failure_counts_untruncated(capsys, monkeypatch):
+    from rslab import bijections as bj
+
+    monkeypatch.setattr(bj, "peak_admissible_by_definition", lambda p, a: None)
+    code, out, _ = run(capsys, "verify", "admissibility", "--max-n", "5", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["n_failures"] > 10 and len(data["failures"]) == 10
+    code, out, _ = run(capsys, "verify", "admissibility", "--max-n", "5", "--format", "csv")
+    header, row = out.strip().splitlines()
+    assert header == "suite,verdict,failures"
+    assert row == f"admissibility,False,{data['n_failures']}"
+
+
 def test_figure_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"

@@ -95,12 +95,38 @@ def test_enumeration():
         list(perms.enumerate_sn(0))
 
 
+def test_runsorted_equals_filter_of_sn():
+    for n in range(1, 10):
+        want = sorted(p for p in perms.enumerate_sn(n) if perms.is_runsorted(p))
+        assert list(perms.enumerate_runsorted(n)) == want
+
+
 def test_cap_env(monkeypatch):
     monkeypatch.setenv("RSLAB_MAX_N", "3")
     with pytest.raises(perms.CapExceeded):
         list(perms.enumerate_sn(4))
     monkeypatch.delenv("RSLAB_MAX_N")
     assert len(list(perms.enumerate_sn(4))) == 24
+
+
+def test_one_cap_for_every_exhaustive_route(monkeypatch):
+    from rslab import bijections, binwords
+
+    monkeypatch.setenv("RSLAB_MAX_N", "5")
+    binwords.maj_pair_table.cache_clear()
+    routes = [
+        lambda: list(perms.enumerate_sn(6)),
+        lambda: perms.enumerate_runsorted(6),
+        lambda: bijections.residual_census(6, 1),
+        lambda: bijections.build_peak_transport(6),
+        lambda: binwords.maj_pair_table(6),
+    ]
+    for route in routes:
+        with pytest.raises(perms.CapExceeded) as exc:
+            route()
+        assert str(exc.value) == (
+            "refusing to enumerate S_6: cap is 5 (raise RSLAB_MAX_N to override)"
+        )
 
 
 def test_serialisation():

@@ -12,11 +12,16 @@ from rslab.polynomials import (
     MPoly,
     Poly,
     descent_multivar,
+    descent_multivar_by_enumeration,
     descent_multivar_from_end,
+    descent_multivar_from_end_by_first_run,
     eulerian_multivar,
     eulerian_poly,
     peak_multivar,
+    peak_multivar_by_enumeration,
     peak_poly,
+    peak_poly_by_derivative,
+    peak_poly_by_enumeration,
     peak_triangle,
     run_count_poly,
     run_count_triangle,
@@ -124,16 +129,23 @@ class TestDescentFamilies:
 
     def test_multivar_three_routes(self):
         for n in range(1, 10):
-            rec1 = descent_multivar_from_end(n, "rec1")
-            reck = descent_multivar_from_end(n, "reck")
+            rec1 = descent_multivar_from_end_by_first_run(n)
+            reck = descent_multivar_from_end(n)
             assert rec1 == reck
             if n <= 8:
-                assert rec1 == descent_multivar_from_end(n, "enum")
+                enum = descent_multivar_by_enumeration(n).relabel({j: n - j for j in range(1, n)})
+                assert rec1 == enum
             assert rec1.specialize() == runsorted_descent_poly(n)
 
+    def test_multivar_equals_enumeration(self):
+        for n in range(1, 9):
+            got = descent_multivar(n)
+            assert got == descent_multivar_by_enumeration(n)
+            assert all(type(c) is int for c in got.terms.values())
+
     def test_multivar_small_values(self):
-        assert descent_multivar_from_end(1, "reck") == MPoly.const(1)
-        assert descent_multivar_from_end(3, "reck") == MPoly.const(1) + MPoly.from_set([1])
+        assert descent_multivar_from_end(1) == MPoly.const(1)
+        assert descent_multivar_from_end(3) == MPoly.const(1) + MPoly.from_set([1])
         assert descent_multivar(3) == MPoly.const(1) + MPoly.from_set([2])
         assert descent_multivar(1) == MPoly.const(1)
         for n in range(1, 8):
@@ -155,9 +167,9 @@ class TestEulerian:
 class TestPeaks:
     def test_table_three_ways(self):
         for n, human in TABLE_PEAKS.items():
-            assert peak_poly(n, "insertion").human() == human
-            assert peak_poly(n, "derivative").human() == human
-            assert peak_poly(n, "enum").human() == human
+            assert peak_poly(n).human() == human
+            assert peak_poly_by_derivative(n).human() == human
+            assert peak_poly_by_enumeration(n).human() == human
 
     def test_rows_sum_to_factorial(self):
         for n in range(1, 12):
@@ -169,8 +181,8 @@ class TestPeaks:
 
     def test_multivar_recursion_vs_enum(self):
         for n in range(1, 8):
-            assert peak_multivar(n, "recursion") == peak_multivar(n, "enum")
-            assert peak_multivar(n, "recursion").specialize() == peak_poly(n)
+            assert peak_multivar(n) == peak_multivar_by_enumeration(n)
+            assert peak_multivar(n).specialize() == peak_poly(n)
 
     def test_multivar_small(self):
         assert peak_multivar(1) == MPoly.const(1)

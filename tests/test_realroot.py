@@ -23,6 +23,10 @@ class TestSturm:
         assert rr.count_real_roots(Poly([-2, 0, 1]), Fraction(0), rr.POS_INF) == 1
         assert rr.count_real_roots(Poly([0, 1])) == 1
 
+    def test_lower_endpoint_must_not_be_a_root(self):
+        with pytest.raises(ValueError):
+            rr.count_real_roots(Poly([0, 1]), Fraction(0))
+
     def test_real_rooted(self):
         assert not rr.is_real_rooted(Poly([1, 0, 1]))
         assert rr.is_real_rooted(Poly([0, 1, 11, 3]))  # t(3t^2+11t+1)
