@@ -10,16 +10,13 @@ A maximal weakly increasing segment of a binary word always has the shape
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .perms import enumerate_sn
+from .perms import check_cap
 from .polynomials import MPoly, Poly
 
 
@@ -295,24 +292,36 @@ def count_table_csv(max_a: int, max_b: int) -> str:
 def maj_pair_table(n: int) -> tuple[tuple[int, ...], ...]:
     """
     ``table[a][b]`` = number of permutations of [n] with major index a whose
-    inverse has major index b.  Brute force over S_n, vectorised in chunks.
+    inverse has major index b.
+
+    RSK carries Des(pi) to Des(Q) and Des(pi^-1) to Des(P), so the table is
+    sum over shapes lambda of f_lambda[a] * f_lambda[b], where f_lambda is
+    the q-hook-length polynomial q^b(lambda) [n]_q! / prod [h(u)]_q
+    (Stanley, EC2 7.21.5).  Its (1-q)^n factors cancel, so f_lambda is
+    q^b(lambda) prod_k (1-q^k) / prod_u (1-q^h(u)), expanded modulo
+    q^(top+1) with top = n(n-1)/2, its largest degree.
     """
     if n == 0:
         return ((1,),)
-    it = enumerate_sn(n)
+    check_cap(n)
     top = n * (n - 1) // 2
-    table = np.zeros((top + 1, top + 1), dtype=np.int64)
-    pos = np.arange(1, n, dtype=np.int64)
-    while True:
-        chunk = list(itertools.islice(it, 200_000))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.int8)
-        majs = (arr[:, :-1] > arr[:, 1:]).astype(np.int64) @ pos
-        inv = np.argsort(arr, axis=1)
-        maj_inv = (inv[:, :-1] > inv[:, 1:]).astype(np.int64) @ pos
-        np.add.at(table, (majs, maj_inv), 1)
-    return tuple(tuple(int(x) for x in row) for row in table)
+    table = [[0] * (top + 1) for _ in range(top + 1)]
+    for lam in partitions(n):
+        conj = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+        f = [0] * (top + 1)
+        f[sum(i * part for i, part in enumerate(lam))] = 1
+        for k in range(1, n + 1):
+            for i in range(top, k - 1, -1):
+                f[i] -= f[i - k]
+        for i, part in enumerate(lam):
+            for j in range(part):
+                h = part - j + conj[j] - i - 1
+                for x in range(h, top + 1):
+                    f[x] += f[x - h]
+        for a, c in enumerate(f):
+            if c:
+                table[a] = [t + c * g for t, g in zip(table[a], f)]
+    return tuple(map(tuple, table))
 
 
 def maj_pair_count(a: int, b: int) -> int:

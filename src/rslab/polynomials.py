@@ -367,6 +367,8 @@ def descent_multivar_from_end(n: int) -> MPoly:
 
     Recursion on whether 1 and 2 share a run, with weight C(n-2, i-1).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n == 1:
         return MPoly.const(1)
     out = descent_multivar_from_end(n - 1)
@@ -379,6 +381,8 @@ def descent_multivar_from_end(n: int) -> MPoly:
 def descent_multivar_from_end_by_first_run(n: int) -> MPoly:
     """Oracle for :func:`descent_multivar_from_end`: peel the first run,
     with weight C(n-1, i) - 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     out = MPoly.const(1)
     for i in range(1, n - 1):
         w = comb(n - 1, i) - 1
@@ -426,7 +430,29 @@ def eulerian_poly(n: int) -> Poly:
 
 
 def eulerian_multivar(n: int) -> MPoly:
-    """Multivariate Eulerian polynomial: sum over S_n of prod_{j in DES} x_j."""
+    """
+    Multivariate Eulerian polynomial: sum over S_n of prod_{j in DES} x_j.
+
+    Built letter by letter (Stanley, EC1 1.4): ``rows[S][r]`` counts the
+    prefixes of length i with descent set S whose last letter has rank
+    r + 1 among them.  A new last letter of rank r' + 1 ascends from every
+    smaller rank and descends at i from every rank >= r' + 1, so each of
+    the 2^(n-1) descent sets is reached once and nothing scans S_n.
+    """
+    perms.check_cap(n)
+    rows: dict[tuple[int, ...], list[int]] = {(): [1]}
+    for i in range(1, n):
+        nxt = {}
+        for S, row in rows.items():
+            below = [0, *itertools.accumulate(row)]
+            nxt[S] = below
+            nxt[S + (i,)] = [below[-1] - c for c in below]
+        rows = nxt
+    return MPoly({monomial_from_set(S): sum(row) for S, row in rows.items()})
+
+
+def eulerian_multivar_by_enumeration(n: int) -> MPoly:
+    """Oracle for :func:`eulerian_multivar`: sum over all of S_n."""
     out: dict[Monomial, Scalar] = {}
     for p in perms.enumerate_sn(n):
         key = monomial_from_set(perms.descent_set(p))
@@ -499,6 +525,8 @@ def peak_multivar(n: int) -> MPoly:
     remaining letters into an ordered pair of smaller instances on
     complementary variable sets.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n == 1:
         return MPoly.const(1)
     out = 2 * peak_multivar(n - 1)

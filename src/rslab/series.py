@@ -5,19 +5,17 @@ exponential generating functions for the descent/peak statistics.
 Coefficient rings in use:
 
 - ``Fraction`` for plain numeric series (e^u, tan u, ...);
-- ``Poly`` (polynomials in t over the rationals);
-- ``SqrtExt`` = Poly[s]/(s^2 - base(t)), a rank-2 module over Poly used to
-  expand expressions in sqrt(t-1) or sqrt(t).  Division is only performed
-  after splitting numerator and denominator into their s-even/s-odd parts;
-  a quotient whose parity does not line up is rejected rather than
-  approximated.
+- ``Poly`` (polynomials in t over the rationals).
+
+The closed forms in s = sqrt(t-1) or s = sqrt(t) are expanded through
+their parts odd in s, written down directly, so every coefficient is a
+polynomial in t.
 
 Everything is truncated at a fixed order (default 12) and all arithmetic
 is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
@@ -64,9 +62,6 @@ class Series:
                 acc = acc + self.coeffs[i] * other.coeffs[m - i]
             out.append(acc)
         return Series(out)
-
-    def scale(self, c) -> "Series":
-        return Series([a * c for a in self.coeffs])
 
     def map(self, fn: Callable) -> "Series":
         return Series([fn(a) for a in self.coeffs])
@@ -117,51 +112,6 @@ def tan_u(order: int) -> Series:
         else:
             cos[m] = Fraction((-1) ** (m // 2), factorial(m))
     return series_div(Series(sin), Series(cos), Fraction(1))
-
-
-@dataclass(frozen=True)
-class SqrtExt:
-    """even(t) + s*odd(t) with s^2 = base(t)."""
-
-    even: Poly
-    odd: Poly
-    base: Poly
-
-    def _same(self, other: "SqrtExt") -> None:
-        if self.base != other.base:
-            raise ValueError("mixed square-root extensions")
-
-    def __add__(self, other: "SqrtExt") -> "SqrtExt":
-        self._same(other)
-        return SqrtExt(self.even + other.even, self.odd + other.odd, self.base)
-
-    def __sub__(self, other: "SqrtExt") -> "SqrtExt":
-        self._same(other)
-        return SqrtExt(self.even - other.even, self.odd - other.odd, self.base)
-
-    def __mul__(self, other: "SqrtExt") -> "SqrtExt":
-        self._same(other)
-        even = self.even * other.even + self.base * self.odd * other.odd
-        odd = self.even * other.odd + self.odd * other.even
-        return SqrtExt(even, odd, self.base)
-
-    def __truediv__(self, scalar) -> "SqrtExt":
-        return SqrtExt(self.even / scalar, self.odd / scalar, self.base)
-
-    def is_odd_pure(self) -> bool:
-        return self.even.is_zero()
-
-    def is_even_pure(self) -> bool:
-        return self.odd.is_zero()
-
-
-def _odd_parts(s: Series) -> Series:
-    """Project a SqrtExt-coefficient series onto its s-odd components,
-    rejecting any non-zero even component."""
-    for c in s.coeffs:
-        if not c.is_odd_pure():
-            raise ValueError("series has a non-cancelling s-even component")
-    return Series([c.odd for c in s.coeffs])
 
 
 def _poly_series(s: Series) -> Series:
@@ -224,26 +174,19 @@ def sheffer_product_check(order: int = DEFAULT_ORDER) -> dict:
 
 def egf_peaks(order: int = DEFAULT_ORDER) -> Series:
     """
-    tan(u*s) / (s - tan(u*s)) with s^2 = t - 1, expanded so that every
-    coefficient is an honest polynomial in t; n! times the coefficient of
-    u^n is the peak polynomial of S_n.
+    tan(u*s) / (s - tan(u*s)) with s^2 = t - 1; n! times the coefficient
+    of u^n is the peak polynomial of S_n.
+
+    tan(u*s) is s times T with T_j = tan_j * (t-1)^((j-1)/2) for odd j and
+    0 for even j, so the quotient is T / (1 - T), a series over Poly.
     """
     base = Poly([-1, 1])  # t - 1
     tanc = tan_u(order)
-    zero = Poly()
-
-    def tan_us_coeff(j: int) -> SqrtExt:
-        if j % 2 == 0:
-            return SqrtExt(zero, zero, base)
-        return SqrtExt(zero, base ** ((j - 1) // 2) * tanc.coeffs[j], base)
-
-    tan_us = Series([tan_us_coeff(j) for j in range(order + 1)])
-    s_elt = Series(
-        [SqrtExt(zero, Poly.const(1) if j == 0 else zero, base) for j in range(order + 1)]
+    tan_over_s = Series(
+        [base ** ((j - 1) // 2) * tanc.coeffs[j] if j % 2 else Poly() for j in range(order + 1)]
     )
-    num = _odd_parts(tan_us)
-    den = _odd_parts(s_elt - tan_us)
-    return series_div(num, den, Poly.const(1))
+    one = Series([Poly.const(1)] + [Poly()] * order)
+    return series_div(tan_over_s, one - tan_over_s, Poly.const(1))
 
 
 def egf_peaks_report(order: int = DEFAULT_ORDER) -> dict:
@@ -283,31 +226,15 @@ def egf_binary_descents(order: int = DEFAULT_ORDER) -> Series:
     e^u * (sinh(r u) + r*((t-1)(u+1) + cosh(r u))) / (t * r) with r^2 = t;
     n! times the coefficient of u^n is the descent-after-runsort polynomial
     of length-n binary words.
+
+    Divided by r, the bracket has [u^j] = t^floor(j/2) / j!, plus (t-1)
+    at j = 0 and j = 1.
     """
-    base = Poly.t()
-    zero = Poly()
-
-    def elt(even: Poly, odd: Poly) -> SqrtExt:
-        return SqrtExt(even, odd, base)
-
-    sinh = Series(
-        [
-            elt(zero, base ** ((j - 1) // 2) / factorial(j)) if j % 2 else elt(zero, zero)
-            for j in range(order + 1)
-        ]
+    t = Poly.t()
+    bracket = Series(
+        [t ** (j // 2) / factorial(j) + (t - 1 if j < 2 else Poly()) for j in range(order + 1)]
     )
-    cosh_even = [
-        base ** (j // 2) / factorial(j) if j % 2 == 0 else zero
-        for j in range(order + 1)
-    ]
-    tminus1 = Poly([-1, 1])
-    extra = [tminus1, tminus1] + [zero] * (order - 1)  # (t-1)*(u+1)
-    r_times = Series(
-        [elt(zero, cosh_even[j] + extra[j]) for j in range(order + 1)]
-    )
-    numerator = _odd_parts(sinh + r_times)
-    over_t = numerator.map(lambda p: p.exact_div(Poly.t()))
-    return _poly_series(exp_u(order)) * over_t
+    return _poly_series(exp_u(order)) * bracket.map(lambda p: p.exact_div(t))
 
 
 def egf_binary_report(order: int = DEFAULT_ORDER) -> dict:

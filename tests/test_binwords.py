@@ -177,7 +177,7 @@ class TestCountIdentities:
 
     def test_maj_pair_table_against_direct_definition(self):
         # independent brute force straight from the definitions
-        for n in range(0, 7):
+        for n in range(0, 9):
             direct: dict = {}
             for p in itertools.permutations(range(1, n + 1)):
                 key = (perms.maj(p), perms.maj(perms.inverse(p)))

@@ -16,6 +16,7 @@ from rslab.polynomials import (
     descent_multivar_from_end,
     descent_multivar_from_end_by_first_run,
     eulerian_multivar,
+    eulerian_multivar_by_enumeration,
     eulerian_poly,
     peak_multivar,
     peak_multivar_by_enumeration,
@@ -163,6 +164,13 @@ class TestEulerian:
         for n in range(1, 8):
             assert eulerian_multivar(n).specialize() == eulerian_poly(n)
 
+    def test_multivar_equals_enumeration(self):
+        for n in range(1, 9):
+            got = eulerian_multivar(n)
+            assert got == eulerian_multivar_by_enumeration(n), n
+            assert len(got.terms) == 2 ** (n - 1)
+            assert all(type(c) is int for c in got.terms.values())
+
 
 class TestPeaks:
     def test_table_three_ways(self):
@@ -206,3 +214,20 @@ def test_enumeration_cross_check_tables():
     for n in range(1, 9):
         counts = Counter(perms.des(p) for p in perms.enumerate_runsorted(n))
         assert Poly([counts.get(i, 0) for i in range(max(counts) + 1)]) == runsorted_descent_poly(n)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        peak_multivar,
+        descent_multivar,
+        descent_multivar_from_end,
+        descent_multivar_from_end_by_first_run,
+        eulerian_multivar,
+    ],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_multivar_builders_refuse_n_below_one(builder, n):
+    with pytest.raises(ValueError, match="n must be"):
+        builder(n)

@@ -10,7 +10,6 @@ from rslab.binwords import binary_descent_poly
 from rslab.polynomials import Poly, peak_poly, runsorted_descent_poly
 from rslab.series import (
     Series,
-    SqrtExt,
     egf_binary_descents,
     egf_binary_report,
     egf_peaks,
@@ -67,19 +66,6 @@ def test_series_ring_laws_order8(a, b, c):
     assert (sa * sb) * sc == sa * (sb * sc)
 
 
-def test_sqrt_ext_ring():
-    base = Poly([-1, 1])
-    a = SqrtExt(Poly([1]), Poly([2]), base)  # 1 + 2s
-    b = SqrtExt(Poly([0, 1]), Poly([]), base)  # t
-    prod = a * a
-    # (1+2s)^2 = 1 + 4s + 4s^2 = 1 + 4(t-1) + 4s
-    assert prod.even == Poly([1]) + 4 * base
-    assert prod.odd == Poly([4])
-    assert (a * b).even == Poly([0, 1])
-    with pytest.raises(ValueError):
-        a._same(SqrtExt(Poly([1]), Poly([]), Poly([0, 1])))
-
-
 def test_egf_runsorted():
     g = egf_runsorted_descents(11)
     for n in range(12):
@@ -109,16 +95,6 @@ def test_egf_peaks():
     for n in range(1, 11):
         assert g.coeffs[n] * factorial(n) == peak_poly(n)
     assert egf_peaks_report(10)["ok"]
-
-
-def test_egf_peaks_parity_cancellation():
-    # the even component must vanish identically before division
-    from rslab.series import _odd_parts
-
-    base = Poly([-1, 1])
-    bad = Series([SqrtExt(Poly([1]), Poly([]), base)])
-    with pytest.raises(ValueError):
-        _odd_parts(bad)
 
 
 def test_expected_peaks_series():
