@@ -3,10 +3,11 @@ Exact real-root machinery: Sturm counts, interval isolation, interlacing
 verdicts, and the sampled same-phase stability harness.
 
 No floating point enters any verdict; floats appear only as human-readable
-annotations inside reports.  Roots are handled as exact rationals or as
-open-closed rational intervals containing exactly one root, refined on
-demand until every needed comparison is unambiguous (shared roots are
-recognised exactly through gcds, so refinement always terminates).
+annotations inside reports.  Roots are isolated as exact rationals or as
+open-closed rational intervals containing exactly one root, bisected on
+request down to a given width.  Interlacing is decided without isolating
+any root: once the gcd (the shared roots) is divided out, one signed
+remainder sequence read at -inf and +inf gives a Cauchy index.
 """
 from __future__ import annotations
 
@@ -22,16 +23,16 @@ POS_INF = "+inf"
 Endpoint = Fraction | Literal["-inf", "+inf"]
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Canonical Sturm chain p, p', then negated remainders down to the gcd."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
+def sturm_chain(p: Poly, q: Poly) -> list[Poly]:
+    """Signed remainder sequence p, q, then negated remainders down to
+    gcd(p, q).  Its sign variations from a to b give the Cauchy index of
+    q/p on (a, b]; with q = p' that is the number of distinct roots."""
+    chain = [p, q]
+    while chain[-1].degree > 0:
         rem = chain[-2].divmod(chain[-1])[1]
         if rem.is_zero():
             break
         chain.append(-rem)
-    if chain[-1].is_zero():
-        chain.pop()
     return chain
 
 
@@ -56,17 +57,24 @@ def _variations(chain: Sequence[Poly], x: Endpoint) -> tuple[int, int]:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0), signs[0]
 
 
+def _endpoint_key(x: Endpoint) -> tuple:
+    """Order key with -inf below every rational and +inf above."""
+    return (-1, 0) if x == NEG_INF else (1, 0) if x == POS_INF else (0, x)
+
+
 def count_real_roots(p: Poly, lo: Endpoint = NEG_INF, hi: Endpoint = POS_INF) -> int:
     """
     Number of distinct real roots of p in the half-open interval (lo, hi],
     by Sturm's theorem (multiple roots counted once).  Raises ValueError
-    when lo is a root of p.
+    when hi < lo or when lo is a root of p.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no root count")
+    if _endpoint_key(hi) < _endpoint_key(lo):
+        raise ValueError(f"reversed interval ({lo}, {hi}]")
     if p.degree == 0:
         return 0
-    chain = sturm_chain(p)
+    chain = sturm_chain(p, p.derivative())
     at_lo, sign_lo = _variations(chain, lo)
     if sign_lo == 0:
         raise ValueError(f"lower endpoint {lo} is a root of {p.human()}")
@@ -183,44 +191,6 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
     return out
 
 
-def _compare_roots(
-    rf: IsolatedRoot, qf: Poly, rg: IsolatedRoot, qg: Poly, common: Poly
-) -> int:
-    """Exact sign of (root_f - root_g); ``common`` = gcd of the square-free
-    parts, whose roots are the shared ones."""
-    while True:
-        if rf.kind == "point" and rg.kind == "point":
-            return (rf.lo > rg.lo) - (rf.lo < rg.lo)
-        if rf.kind == "point":
-            x = rf.lo
-            if x <= rg.lo:
-                return -1  # the g-root lies strictly above rg.lo
-            if x >= rg.hi:
-                return 1  # rg.hi is not a root, so the g-root is below it
-            if qg(x) == 0:
-                return 0
-            return 1 if count_real_roots(qg, rg.lo, x) == 1 else -1
-        if rg.kind == "point":
-            return -_compare_roots(rg, qg, rf, qf, common)
-        if rf.hi <= rg.lo:
-            return -1
-        if rg.hi <= rf.lo:
-            return 1
-        # overlapping intervals: equal iff both trap the same shared root
-        if common.degree >= 1:
-            inter_lo = max(rf.lo, rg.lo)
-            inter_hi = min(rf.hi, rg.hi)
-            if (
-                count_real_roots(common, rf.lo, rf.hi) == 1
-                and count_real_roots(common, rg.lo, rg.hi) == 1
-                and inter_lo < inter_hi
-                and count_real_roots(common, inter_lo, inter_hi) == 1
-            ):
-                return 0
-        rf = _bisect_once(qf, rf)
-        rg = _bisect_once(qg, rg)
-
-
 @dataclass
 class InterlaceReport:
     f: Poly
@@ -258,7 +228,19 @@ def interlaces(f: Poly, g: Poly) -> InterlaceReport:
         g_1 >= f_1 >= g_2 >= f_2 >= ...
 
     must hold, all roots must be real and non-positive, the leading
-    coefficients positive, and the degrees may differ by at most one.
+    coefficients positive, and the degrees may differ by at most one.  The
+    longer root list takes the outer chain positions; on equal degrees g
+    sits on top.
+
+    Shared roots pair off in the merged chain, so f and g interlace iff
+    f/h and g/h do, where h = gcd(f, g).  Two coprime real-rooted
+    polynomials ``top`` and ``low`` (top of degree d, low of degree d or
+    d - 1, positive leading coefficients) interlace iff the Cauchy index
+    of low/top over the whole line is d, that is, iff every residue of
+    low/top is positive at d distinct real poles.  The index is read off
+    ``sturm_chain(top, low)`` at -inf and +inf; no root is isolated.  The
+    witness is for readers only: the roots of f and g with multiplicity,
+    largest first, as float approximations.
     """
     for name, p in (("f", f), ("g", g)):
         if p.is_zero():
@@ -272,39 +254,16 @@ def interlaces(f: Poly, g: Poly) -> InterlaceReport:
     if abs(f.degree - g.degree) > 1:
         return InterlaceReport(f, g, False, "degrees differ by more than one")
 
-    iso_f = isolate_real_roots(f)
-    iso_g = isolate_real_roots(g)
-    common = f.square_free().gcd(g.square_free())
-
-    def expanded(iso: RootIsolation) -> list[IsolatedRoot]:
-        out: list[IsolatedRoot] = []
-        for r in reversed(iso.roots):  # descending
-            out.extend([r] * r.multiplicity)
-        return out
-
-    F = expanded(iso_f)
-    G = expanded(iso_g)
-
-    def le(a: IsolatedRoot, pa: Poly, b: IsolatedRoot, pb: Poly) -> bool:
-        return _compare_roots(a, pa, b, pb, common) <= 0
-
-    qf, qg = iso_f.square_free, iso_g.square_free
-    # The longer root list takes the outer chain positions; for equal
-    # lengths g sits on top, matching the one-sided written chain.
-    if len(F) > len(G):
-        top, top_q, low, low_q = F, qf, G, qg
-    else:
-        top, top_q, low, low_q = G, qg, F, qf
-    ok = True
-    for i in range(len(low)):
-        if not le(low[i], low_q, top[i], top_q):
-            ok = False
-            break
-        if i + 1 < len(top) and not le(top[i + 1], top_q, low[i], low_q):
-            ok = False
-            break
+    h = f.gcd(g)
+    f1, g1 = f.exact_div(h), g.exact_div(h)
+    top, low = (f1, g1) if f1.degree > g1.degree else (g1, f1)
+    chain = sturm_chain(top, low)
+    ok = _variations(chain, NEG_INF)[0] - _variations(chain, POS_INF)[0] == top.degree
     witness = sorted(
-        [("f", r.approx()) for r in F] + [("g", r.approx()) for r in G],
+        [(tag, r.approx())
+         for tag, p in (("f", f), ("g", g))
+         for r in isolate_real_roots(p).roots
+         for _ in range(r.multiplicity)],
         key=lambda t: -t[1],
     )
     reason = "chain holds" if ok else "chain violated"
@@ -355,7 +314,8 @@ def same_phase_check(
     Restrict the multivariate polynomial to the positive ray x_i ->
     lam[i-1] * t and test exact real-rootedness; when ``partner`` (the
     previous family member) is supplied, also test that its restriction
-    interlaces this one.
+    interlaces this one (a partner restriction that is not real-rooted
+    does not).
     """
     if any(x <= 0 for x in lam):
         raise ValueError("ray weights must be positive")
@@ -370,8 +330,8 @@ def same_phase_check(
         "restriction": restricted.to_json(),
     }
     if partner is not None and ok:
-        rep = interlaces(partner.ray_restriction(lam), restricted)
-        out["interlaces"] = rep.verdict
+        below = partner.ray_restriction(lam)
+        out["interlaces"] = is_real_rooted(below) and interlaces(below, restricted).verdict
     return out
 
 

@@ -27,6 +27,17 @@ class TestSturm:
         with pytest.raises(ValueError):
             rr.count_real_roots(Poly([0, 1]), Fraction(0))
 
+    def test_reversed_interval_refused(self):
+        p = Poly([-2, 0, 1])
+        for lo, hi in ((rr.POS_INF, rr.NEG_INF), (Fraction(3), Fraction(-3)),
+                       (Fraction(0), rr.NEG_INF), (rr.POS_INF, Fraction(0))):
+            with pytest.raises(ValueError, match="reversed interval"):
+                rr.count_real_roots(p, lo, hi)
+        # (lo, lo] is empty, not reversed
+        assert rr.count_real_roots(p, Fraction(3), Fraction(3)) == 0
+        assert rr.count_real_roots(p, rr.NEG_INF, rr.NEG_INF) == 0
+        assert rr.count_real_roots(p, rr.POS_INF, rr.POS_INF) == 0
+
     def test_real_rooted(self):
         assert not rr.is_real_rooted(Poly([1, 0, 1]))
         assert rr.is_real_rooted(Poly([0, 1, 11, 3]))  # t(3t^2+11t+1)
@@ -118,6 +129,12 @@ class TestSamePhase:
             rr.same_phase_check(q, [Fraction(1), Fraction(-1), Fraction(1)])
         with pytest.raises(ValueError):
             rr.same_phase_check(q, [Fraction(1)])
+
+    def test_partner_not_real_rooted_is_a_finding(self):
+        p = MPoly({((1, 1),): 1, (): 1})  # x1 + 1
+        partner = MPoly({((1, 2),): 1, (): 1})  # x1^2 + 1
+        res = rr.same_phase_check(p, [Fraction(1)], partner=partner)
+        assert res["real_rooted"] and res["interlaces"] is False
 
     def test_sampler_deterministic(self):
         a = rr.sample_lambdas(6, 11, 2, 5, 0)

@@ -26,6 +26,22 @@ def random_roots(rng, max_deg=5, pool_step=4):
     return sorted((pool[rng.below(len(pool))] for _ in range(deg)), reverse=True)
 
 
+def close_degree_roots(rng):
+    """Two root multisets whose sizes differ by at most one, drawn from one
+    small shared pool (half the time holding 0), so that roots repeat and
+    are shared between the two."""
+    pool = [Fraction(-rng.below(30), 1 + rng.below(6)) for _ in range(1 + rng.below(5))]
+    if rng.below(2):
+        pool.append(Fraction(0))
+    df = rng.below(7)
+    dg = max(0, df - 1 + rng.below(3))
+
+    def draw(deg):
+        return sorted((pool[rng.below(len(pool))] for _ in range(deg)), reverse=True)
+
+    return draw(df), draw(dg)
+
+
 def chain_verdict(froots, groots):
     """The interlacing definition evaluated straight on the known roots."""
     if abs(len(froots) - len(groots)) > 1:
@@ -71,6 +87,40 @@ def test_interlace_verdicts_match_known_roots():
         agree[want] += 1
     # the stream must have produced both outcomes in bulk
     assert agree[True] > 40 and agree[False] > 40, agree
+
+    # a second stream that never stops at the degree-gap return, with both
+    # argument orders
+    rng = SplitMix64.seed_from(4005)
+    agree = {True: 0, False: 0}
+    for _ in range(300):
+        froots, groots = close_degree_roots(rng)
+        f = poly_from_roots(froots, lead=1 + rng.below(3))
+        g = poly_from_roots(groots, lead=1 + rng.below(3))
+        for a, b, aroots, broots in ((f, g, froots, groots), (g, f, groots, froots)):
+            want = chain_verdict(aroots, broots)
+            got = rr.interlaces(a, b).verdict
+            assert got == want, (aroots, broots, want, got)
+            agree[want] += 1
+    assert agree[True] > 150 and agree[False] > 150, agree
+
+
+def test_interlace_witness_lists_every_root():
+    rng = SplitMix64.seed_from(4006)
+    gaps = 0
+    for _ in range(150):
+        froots, groots = random_roots(rng), random_roots(rng)
+        f = poly_from_roots(froots, lead=1 + rng.below(3))
+        g = poly_from_roots(groots, lead=1 + rng.below(3))
+        rep = rr.interlaces(f, g)
+        if abs(f.degree - g.degree) > 1:
+            assert rep.witness == []
+            gaps += 1
+            continue
+        tags = [tag for tag, _ in rep.witness]
+        assert tags.count("f") == f.degree and tags.count("g") == g.degree
+        values = [x for _, x in rep.witness]
+        assert values == sorted(values, reverse=True)
+    assert gaps > 10
 
 
 def test_interlace_shared_root_cases():
