@@ -9,6 +9,7 @@ from pathlib import Path
 
 from rslab import bijections as bj
 from rslab import perms
+from rslab.prng import SplitMix64, fisher_yates
 
 fmt = lambda p: "".join(map(str, p))
 
@@ -36,6 +37,17 @@ rhs = Counter(
 )
 print(f"joint distributions over S_{n} agree:", lhs == rhs)
 print(f"distinct joint values: {len(lhs)}")
+print()
+
+# eta maps one permutation at a time, far beyond the n! table.
+sig = fisher_yates(30, SplitMix64.seed_from(4))
+img = bj.eta(sig)
+print("eta of a seeded permutation of [30]:")
+print("  sigma      ", perms.format_perm(sig))
+print("  eta(sigma) ", perms.format_perm(img))
+print("  peaks of sigma = sorted peaks of eta(sigma):",
+      perms.peak_values(sig) == perms.spv(img), perms.format_int_set(perms.spv(img)))
+print("  run starts preserved:", perms.run_starts(sig) == perms.run_starts(img))
 print()
 
 out = Path(tempfile.gettempdir()) / "transport_n5.csv"

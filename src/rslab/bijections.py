@@ -28,9 +28,11 @@ admissibility"; the non-admissible case-5 permutations fall into either
 the swap image or one of five residual classes permuted by the
 ``flip_tails`` involution.
 
-``build_peak_transport`` stitches the two insertions together level by
-level into an explicit bijection of S_n that maps the peak-value set onto
-the sorted peak-value set while preserving the set of run starts.
+``eta`` stitches the two insertions together into an explicit bijection
+of S_n that maps the peak-value set onto the sorted peak-value set while
+preserving the set of run starts: it peels one permutation by
+``peak_insert_inverse`` and rebuilds its image by ``lex_peak_insert``.
+``build_peak_transport`` tabulates it over S_n.
 """
 from __future__ import annotations
 
@@ -210,23 +212,38 @@ def insert_after(a: Anchor, p: Sequence[int]) -> Word:
     return p[: i + 1] + (n,) + p[i + 1 :]
 
 
+def _insert_case(kind: str, a: Anchor, p: Word) -> tuple[int, int | None]:
+    """
+    The five-case rule of the insertion maps, read on w = p for
+    kind = "peaks" (``peak_insert``) and on w = runsort(p) for
+    kind = "sorted" (``lex_peak_insert``), together with the letter the
+    case turns on: a for case 3, the traded peak value for case 4, the
+    letter after a in p for case 5 (None when a ends p), None otherwise.
+
+    Case 4 trades the letter after a in w, which is also the letter after a
+    in p: a run start is never a peak of runsort(p).
+    """
+    if kind not in ("peaks", "sorted"):
+        raise ValueError("kind must be 'peaks' or 'sorted'")
+    if isinstance(a, _Front):
+        return 1, None
+    w = p if kind == "peaks" else runsort(p)
+    if a == w[-1]:
+        return 2, None
+    peaks = peak_values(w)
+    if a in peaks:
+        return 3, a
+    k = _successor(p, a)
+    return (4 if k in peaks else 5), k
+
+
 def peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     """
     Insert the new maximum after a and report which of the five cases
     applies for the plain peak-value update.
     """
     p = tuple(p)
-    q = insert_after(a, p)
-    if isinstance(a, _Front):
-        return q, 1
-    i = p.index(a)
-    if i == len(p) - 1:
-        return q, 2
-    if a in peak_values(p):
-        return q, 3
-    if p[i + 1] in peak_values(p):
-        return q, 4
-    return q, 5
+    return insert_after(a, p), _insert_case("peaks", a, p)[0]
 
 
 def peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
@@ -257,7 +274,7 @@ def is_peak_admissible(p: Sequence[int], a: int) -> bool:
     """
     p = tuple(p)
     k = _successor(p, a)
-    if k is None or k not in spv(p):
+    if k not in spv(p):
         raise ValueError("needs the letter after a to be a sorted peak value")
     rr = _lex_runs(p)
     starts = [w[0] for w, _, _ in rr]
@@ -284,9 +301,8 @@ def swap_tail(a: int, p: Sequence[int]) -> Word:
     k for the new maximum in the sorted peak set.
     """
     p = tuple(p)
-    i = p.index(a)
-    k = p[i + 1] if i + 1 < len(p) else None
-    if k is None or k not in spv(p):
+    k = _successor(p, a)
+    if k not in spv(p):
         raise ValueError("swap_tail: letter after a must be a sorted peak value")
     if is_peak_admissible(p, a):
         raise ValueError("swap_tail: pair is peak admissible, nothing to fix")
@@ -443,22 +459,6 @@ def _is_residual(p: Word, a: int) -> bool:
         return False
 
 
-def residual_census_json(n: int, a: int, members: bool = False) -> dict:
-    """Census of the residual classes as a JSON-ready report."""
-    census = residual_census(n, a)
-    out: dict = {
-        "schema": 1,
-        "n": n,
-        "a": a,
-        "sizes": [len(census[j]) for j in (1, 2, 3, 4, 5)],
-    }
-    if members:
-        out["members"] = {
-            str(j): [" ".join(map(str, p)) for p in sorted(census[j])] for j in census
-        }
-    return out
-
-
 def flip_tails(a: int, p: Sequence[int]) -> Word:
     """
     Exchange two segments of p: the part of a's run above k together with
@@ -520,24 +520,13 @@ def lex_peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     S_{len(p)+1} together with its case label 1..5.
     """
     p = tuple(p)
-    if isinstance(a, _Front):
-        return insert_after(a, p), 1
-    w = runsort(p)
-    if a == w[-1]:
-        return insert_after(a, p), 2
-    if a in spv(p):
-        return insert_after(a, p), 3
-    k = w[w.index(a) + 1]
-    if k in spv(p):
-        if is_peak_admissible(p, a):
-            return insert_after(a, p), 4
-        return insert_after(a, swap_tail(a, p)), 4
-    if is_slope_admissible(p, a):
-        return insert_after(a, p), 5
-    pre = swap_tail_inverse(a, p)
-    if pre is not None:
-        return insert_after(a, pre), 5
-    return insert_after(a, flip_tails(a, p)), 5
+    case = _insert_case("sorted", a, p)[0]
+    if case == 4 and not is_peak_admissible(p, a):
+        p = swap_tail(a, p)
+    elif case == 5 and not is_slope_admissible(p, a):
+        pre = swap_tail_inverse(a, p)
+        p = flip_tails(a, p) if pre is None else pre
+    return insert_after(a, p), case
 
 
 def lex_peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
@@ -546,10 +535,7 @@ def lex_peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
     maximum and testing the (at most four) branch preimages.
     """
     q = tuple(q)
-    n = len(q)
-    i = q.index(n)
-    a: Anchor = FRONT if i == 0 else q[i - 1]
-    p0 = q[:i] + q[i + 1 :]
+    a, p0 = peak_insert_inverse(q)
     if isinstance(a, _Front):
         return a, p0
     candidates: list[Word] = [p0]
@@ -576,24 +562,13 @@ def run_start_case(kind: str, a: Anchor, p: Sequence[int]) -> tuple[int, set[int
     1 -> add n; 2, 3 -> unchanged; 4 -> add k; 5 -> add k iff a < k.
     """
     p = tuple(p)
-    n = len(p) + 1
     rs = run_starts(p)
-    if kind == "peaks":
-        case = peak_insert(a, p)[1]
-    elif kind == "sorted":
-        case = lex_peak_insert(a, p)[1]
-    else:
-        raise ValueError("kind must be 'peaks' or 'sorted'")
+    case, k = _insert_case(kind, a, p)
     if case == 1:
-        return case, rs | {n}
-    if case in (2, 3):
-        return case, set(rs)
-    k = _successor(p, a)
-    if case == 4:
+        return case, rs | {len(p) + 1}
+    if case == 4 or (case == 5 and k is not None and a < k):
         return case, rs | {k}
-    if k is not None and a < k:
-        return case, rs | {k}
-    return case, set(rs)
+    return case, rs
 
 
 # ---------------------------------------------------------------------------
@@ -610,68 +585,80 @@ def _pairing_key(kind: str, a: Anchor, p: Word) -> tuple:
     value being traded; case 5 splits by whether a fresh run start k is
     created (and then on which k), mirroring ``run_start_case``.
     """
-    if isinstance(a, _Front):
-        return (1,)
-    if kind == "peaks":
-        i = p.index(a)
-        if i == len(p) - 1:
-            return (2,)
-        k = p[i + 1]
-        if a in peak_values(p):
-            return (3, a)
-        if k in peak_values(p):
-            return (4, k)
-    else:
-        w = runsort(p)
-        if a == w[-1]:
-            return (2,)
-        if a in spv(p):
-            return (3, a)
-        k = w[w.index(a) + 1]
-        if k in spv(p):
-            return (4, k)
-        i = p.index(a)
-        if i == len(p) - 1:
-            return (5, "keep")
-        k = p[i + 1]
-    return (5, "new", k) if a < k else (5, "keep")
+    case, k = _insert_case(kind, a, p)
+    if case == 5:
+        return (5, "new", k) if k is not None and a < k else (5, "keep")
+    return (case,) if k is None else (case, k)
+
+
+def _anchor_matching(sig: Word, img: Word) -> dict[Anchor, Anchor]:
+    """
+    Match the insertion labels of sig (plain insertion) with those of its
+    image img (lex insertion): bucket both by ``_pairing_key`` and pair
+    them inside each bucket by increasing anchor, which makes the matching
+    deterministic.  Buckets of unequal size would mean the invariants are
+    broken, and raise immediately.
+    """
+    left: dict[tuple, list[Anchor]] = {}
+    right: dict[tuple, list[Anchor]] = {}
+    for a in anchor_labels(len(sig) + 1):
+        left.setdefault(_pairing_key("peaks", a, sig), []).append(a)
+        right.setdefault(_pairing_key("sorted", a, img), []).append(a)
+    if {key: len(v) for key, v in left.items()} != {key: len(v) for key, v in right.items()}:
+        raise AssertionError(
+            f"internal invariant violation: anchor buckets differ "
+            f"for {sig} -> {img}: {left} vs {right}"
+        )
+    return {a: a2 for key, lhs in left.items() for a, a2 in zip(lhs, right[key])}
+
+
+def _eta(sigma: Word, memo: dict[Word, tuple[Word, dict[Anchor, Anchor]]]) -> Word:
+    """
+    ``eta`` without the input check; ``memo`` maps every parent met so far
+    to its image and its anchor matching, and may be shared across calls.
+    """
+    anchors: list[Anchor] = []
+    parent = sigma
+    while len(parent) > 1 and parent not in memo:
+        a, parent = peak_insert_inverse(parent)
+        anchors.append(a)
+    image = memo[parent][0] if parent in memo else parent
+    for a in reversed(anchors):
+        if parent not in memo:
+            memo[parent] = image, _anchor_matching(parent, image)
+        image = lex_peak_insert(memo[parent][1][a], image)[0]
+        parent = insert_after(a, parent)
+    return image
+
+
+def eta(sigma: Sequence[int]) -> Word:
+    """
+    The peak transport of one permutation: a bijection of S_n sending the
+    peak-value set of sigma to the sorted peak-value set of its image while
+    preserving the run-start set.
+
+    sigma is peeled by ``peak_insert_inverse`` down to (1); the walk back
+    up inserts each anchor into the image by ``lex_peak_insert``, after
+    matching it inside its bucket against the image's anchors.
+
+    >>> eta((6, 4, 1, 3, 2, 5, 7))
+    (6, 7, 4, 5, 1, 3, 2)
+    """
+    sigma = tuple(sigma)
+    if not is_permutation(sigma):
+        raise ValueError(f"not a permutation: {sigma}")
+    return _eta(sigma, {})
 
 
 def build_peak_transport(n: int) -> dict[Word, Word]:
     """
-    Explicit bijection of S_n sending the peak-value set of each
-    permutation to the sorted peak-value set of its image while
-    preserving the run-start set.  Built level by level: matched anchor
-    pairs extend the level-(n-1) table through the two insertions.
-
-    The matching inside each bucket is by increasing anchor, which makes
-    the table deterministic; buckets of unequal size would mean the
-    invariants are broken and raise immediately.  The table holds n!
-    entries, so it stops at n = TRANSPORT_CAP below the general cap.
+    The table {sigma: eta(sigma)} over S_n, with one memo shared by all
+    n! calls.  The table holds n! entries, so it stops at
+    n = TRANSPORT_CAP below the general cap.
     """
     check_cap(n, TRANSPORT_CAP)
-    table: dict[Word, Word] = {(1,): (1,)}
-    for m in range(2, n + 1):
-        nxt: dict[Word, Word] = {}
-        for sig, sig2 in table.items():
-            left: dict[tuple, list[Anchor]] = {}
-            right: dict[tuple, list[Anchor]] = {}
-            for a in anchor_labels(m):
-                left.setdefault(_pairing_key("peaks", a, sig), []).append(a)
-                right.setdefault(_pairing_key("sorted", a, sig2), []).append(a)
-            if set(left) != set(right) or any(
-                len(left[key]) != len(right[key]) for key in left
-            ):
-                raise AssertionError(
-                    f"internal invariant violation: anchor buckets differ "
-                    f"for {sig} -> {sig2}: {left} vs {right}"
-                )
-            order = lambda x: -1 if isinstance(x, _Front) else x
-            for key, lhs in left.items():
-                for a, a2 in zip(sorted(lhs, key=order), sorted(right[key], key=order)):
-                    nxt[peak_insert(a, sig)[0]] = lex_peak_insert(a2, sig2)[0]
-        table = nxt
-    return table
+    memo: dict[Word, tuple[Word, dict[Anchor, Anchor]]] = {}
+    return {sig: _eta(sig, memo) for sig in enumerate_sn(n)}
 
 
 def transport_to_csv(table: dict[Word, Word], path: str) -> None:

@@ -279,15 +279,6 @@ def product_count_table(max_a: int, max_b: int) -> list[list[int]]:
     return table
 
 
-def count_table_csv(max_a: int, max_b: int) -> str:
-    """The product-formula count table as CSV rows "a,b,count"."""
-    table = product_count_table(max_a, max_b)
-    lines = ["a,b,count"]
-    for a in range(max_a + 1):
-        lines.extend(f"{a},{b},{table[a][b]}" for b in range(max_b + 1))
-    return "\n".join(lines) + "\n"
-
-
 @lru_cache(maxsize=None)
 def maj_pair_table(n: int) -> tuple[tuple[int, ...], ...]:
     """

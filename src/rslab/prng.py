@@ -58,7 +58,7 @@ def fisher_yates(n: int, rng: SplitMix64) -> tuple[int, ...]:
     return tuple(arr)
 
 
-def rational_in_0_10(rng: SplitMix64, max_denominator: int = 64) -> Fraction:
+def rational_in_0_10(rng: SplitMix64) -> Fraction:
     """Uniform choice of denominator d <= 64, then numerator in 1..10d."""
-    d = 1 + rng.below(max_denominator)
+    d = 1 + rng.below(64)
     return Fraction(1 + rng.below(10 * d), d)

@@ -91,18 +91,15 @@ def descent_at_two_by_enumeration(n: int) -> int:
 RNG_NAME = "splitmix64"
 
 
-def figure_data(n: int, seed: int, normalize: bool = False) -> list[tuple]:
+def figure_data(n: int, seed: int) -> list[tuple]:
     """
     Deterministic (i, runsort(sigma)(i)) pairs for a uniform sigma drawn
-    with splitmix64-driven Fisher-Yates from ``seed``; with ``normalize``
-    the pairs are scaled into [0,1]^2.
+    with splitmix64-driven Fisher-Yates from ``seed``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     sigma = fisher_yates(n, SplitMix64.seed_from(seed))
     w = perms.runsort(sigma)
-    if normalize:
-        return [(i / n, w[i - 1] / n) for i in range(1, n + 1)]
     return [(i, w[i - 1]) for i in range(1, n + 1)]
 
 

@@ -274,14 +274,6 @@ class TestExpectedDescents:
             bw.expected_binary_descents(0)
 
 
-def test_count_table_csv():
-    text = bw.count_table_csv(3, 3)
-    lines = text.splitlines()
-    assert lines[0] == "a,b,count"
-    assert "1,1,1" in lines and "2,2,2" in lines and "0,0,1" in lines
-    assert len(lines) == 17
-
-
 def test_z_pair_product_layers():
     table = bw.z_pair_product_table(2, 4, 4)
     assert table[0][0][0] == 1

@@ -1,7 +1,7 @@
 """The examples embedded in docstrings must actually hold."""
 import doctest
 
-from rslab import perms, polynomials
+from rslab import bijections, perms, polynomials
 
 
 def test_perms_doctests():
@@ -11,4 +11,9 @@ def test_perms_doctests():
 
 def test_polynomials_doctests():
     result = doctest.testmod(polynomials)
+    assert result.failed == 0 and result.attempted > 0
+
+
+def test_bijections_doctests():
+    result = doctest.testmod(bijections)
     assert result.failed == 0 and result.attempted > 0

@@ -83,8 +83,3 @@ def test_figure_csv_reproducible():
     assert lines[0] == "# rng=splitmix64 seed=9 n=500"
     assert lines[1].split(",")[0] == "1"
     assert len(lines) == 501
-
-
-def test_figure_normalized():
-    pts = st.figure_data(7, 2, normalize=True)
-    assert all(0 < x <= 1 and 0 < y <= 1 for x, y in pts)

@@ -1,4 +1,5 @@
 """The peak-transport bijection and the refined counting identity."""
+import hashlib
 import math
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 from rslab import bijections as bj
 from rslab import perms
 from rslab.perms import peak_values, run_starts, spv
+from rslab.prng import SplitMix64, fisher_yates
 
 P = lambda s: tuple(int(c) for c in s)
 
@@ -53,6 +55,37 @@ def test_invariants_up_to_7():
         for sig, img in table.items():
             assert peak_values(sig) == spv(img)
             assert run_starts(sig) == run_starts(img)
+
+
+def test_eta_matches_table_up_to_7():
+    # each eta call starts from a fresh memo; the table shares one
+    for n in range(1, 8):
+        table = bj.build_peak_transport(n)
+        assert all(bj.eta(sig) == img for sig, img in table.items())
+
+
+def test_table_n8_pinned():
+    # recorded from the level-by-level construction that eta replaced
+    table = sorted(bj.build_peak_transport(8).items())
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == (
+        "bf02dacc7feaa2c3a57f77f57a0c536ff52338de3bdfa285b19d855fde7826cc"
+    )
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_eta_beyond_the_table(n):
+    sig = fisher_yates(n, SplitMix64.seed_from(2021, n))
+    img = bj.eta(sig)
+    assert sorted(img) == list(range(1, n + 1))
+    assert peak_values(sig) == spv(img)
+    assert run_starts(sig) == run_starts(img)
+
+
+def test_eta_domain():
+    assert bj.eta((1,)) == (1,)
+    for bad in [(), (1, 1), (2, 3), (0, 1)]:
+        with pytest.raises(ValueError):
+            bj.eta(bad)
 
 
 def test_refined_identity_multisets():
