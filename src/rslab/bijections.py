@@ -37,6 +37,7 @@ preserving the set of run starts: it peels one permutation by
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .perms import (
@@ -212,25 +213,36 @@ def insert_after(a: Anchor, p: Sequence[int]) -> Word:
     return p[: i + 1] + (n,) + p[i + 1 :]
 
 
-def _insert_case(kind: str, a: Anchor, p: Word) -> tuple[int, int | None]:
+CaseView = tuple[Word, set[int]]
+
+
+def _case_view(kind: str, p: Word) -> CaseView:
     """
-    The five-case rule of the insertion maps, read on w = p for
-    kind = "peaks" (``peak_insert``) and on w = runsort(p) for
-    kind = "sorted" (``lex_peak_insert``), together with the letter the
-    case turns on: a for case 3, the traded peak value for case 4, the
-    letter after a in p for case 5 (None when a ends p), None otherwise.
+    The word w the five-case rule reads, with its peak values: w = p for
+    kind = "peaks" (``peak_insert``), w = runsort(p) for kind = "sorted"
+    (``lex_peak_insert``).  It serves every anchor of p.
+    """
+    if kind not in ("peaks", "sorted"):
+        raise ValueError("kind must be 'peaks' or 'sorted'")
+    w = p if kind == "peaks" else runsort(p)
+    return w, peak_values(w)
+
+
+def _insert_case(a: Anchor, p: Word, view: CaseView) -> tuple[int, int | None]:
+    """
+    The five-case rule of the insertion maps, read on the word w of
+    ``view = (w, peak_values(w))``, together with the letter the case
+    turns on: a for case 3, the traded peak value for case 4, the letter
+    after a in p for case 5 (None when a ends p), None otherwise.
 
     Case 4 trades the letter after a in w, which is also the letter after a
     in p: a run start is never a peak of runsort(p).
     """
-    if kind not in ("peaks", "sorted"):
-        raise ValueError("kind must be 'peaks' or 'sorted'")
     if isinstance(a, _Front):
         return 1, None
-    w = p if kind == "peaks" else runsort(p)
+    w, peaks = view
     if a == w[-1]:
         return 2, None
-    peaks = peak_values(w)
     if a in peaks:
         return 3, a
     k = _successor(p, a)
@@ -243,7 +255,7 @@ def peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     applies for the plain peak-value update.
     """
     p = tuple(p)
-    return insert_after(a, p), _insert_case("peaks", a, p)[0]
+    return insert_after(a, p), _insert_case(a, p, _case_view("peaks", p))[0]
 
 
 def peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
@@ -254,7 +266,10 @@ def peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
     return a, q[:i] + q[i + 1 :]
 
 
-def _lex_runs(p: Word) -> list[tuple[Word, int, int]]:
+LexRuns = list[tuple[Word, int, int]]
+
+
+def _lex_runs(p: Word) -> LexRuns:
     """(run word, start, stop) triples sorted lexicographically by word."""
     return sorted((p[s:e], s, e) for s, e in runs_positions(p))
 
@@ -276,7 +291,12 @@ def is_peak_admissible(p: Sequence[int], a: int) -> bool:
     k = _successor(p, a)
     if k not in spv(p):
         raise ValueError("needs the letter after a to be a sorted peak value")
-    rr = _lex_runs(p)
+    return _peak_admissible(k, _lex_runs(p))
+
+
+def _peak_admissible(k: int, rr: LexRuns) -> bool:
+    """``is_peak_admissible`` for the traded sorted peak k, on the
+    caller's ``_lex_runs(p)``."""
     starts = [w[0] for w, _, _ in rr]
     ends = [w[-1] for w, _, _ in rr]
     m = max(j for j in range(len(rr)) if starts[j] < k)
@@ -371,7 +391,12 @@ def is_slope_admissible(p: Sequence[int], a: int) -> bool:
     p = tuple(p)
     if a not in slope_set(p):
         raise ValueError("a must lie in the slope set")
-    rr = _lex_runs(p)
+    return _slope_admissible(p, a, _lex_runs(p))
+
+
+def _slope_admissible(p: Word, a: int, rr: LexRuns) -> bool:
+    """``is_slope_admissible`` for a in slope_set(p), on the caller's
+    ``rr = _lex_runs(p)``."""
     i = p.index(a)
     aidx = next(j for j, (w, s, e) in enumerate(rr) if s <= i < e)
     word, s, e = rr[aidx]
@@ -435,13 +460,15 @@ def residual_class(p: Sequence[int], a: int) -> int:
 def residual_census(n: int, a: int) -> dict[int, list[Word]]:
     """
     All permutations of [n] falling in each residual class for the anchor
-    a (relative to inserting n+1).
+    a in 1..n (relative to inserting n+1).
     """
+    if not 1 <= a <= n:
+        raise ValueError(f"anchor must lie in 1..{n}")
     out: dict[int, list[Word]] = {1: [], 2: [], 3: [], 4: [], 5: []}
     for p in enumerate_sn(n):
         if a not in slope_set(p):
             continue
-        if is_slope_admissible(p, a) or in_swap_image(p, a):
+        if _slope_admissible(p, a, _lex_runs(p)) or in_swap_image(p, a):
             continue
         out[residual_class(p, a)].append(p)
     return out
@@ -520,10 +547,12 @@ def lex_peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     S_{len(p)+1} together with its case label 1..5.
     """
     p = tuple(p)
-    case = _insert_case("sorted", a, p)[0]
-    if case == 4 and not is_peak_admissible(p, a):
+    rr = _lex_runs(p)
+    w = tuple(chain.from_iterable(r for r, _, _ in rr))  # runsort(p)
+    case, k = _insert_case(a, p, (w, peak_values(w)))
+    if case == 4 and not _peak_admissible(k, rr):
         p = swap_tail(a, p)
-    elif case == 5 and not is_slope_admissible(p, a):
+    elif case == 5 and not _slope_admissible(p, a, rr):
         pre = swap_tail_inverse(a, p)
         p = flip_tails(a, p) if pre is None else pre
     return insert_after(a, p), case
@@ -563,7 +592,7 @@ def run_start_case(kind: str, a: Anchor, p: Sequence[int]) -> tuple[int, set[int
     """
     p = tuple(p)
     rs = run_starts(p)
-    case, k = _insert_case(kind, a, p)
+    case, k = _insert_case(a, p, _case_view(kind, p))
     if case == 1:
         return case, rs | {len(p) + 1}
     if case == 4 or (case == 5 and k is not None and a < k):
@@ -578,14 +607,14 @@ def run_start_case(kind: str, a: Anchor, p: Sequence[int]) -> tuple[int, set[int
 TRANSPORT_CAP = 9
 
 
-def _pairing_key(kind: str, a: Anchor, p: Word) -> tuple:
+def _pairing_key(a: Anchor, p: Word, view: CaseView) -> tuple:
     """
     Bucket key for matching insertion labels across the two bijections.
     Cases 1 and 2 are singletons; cases 3 and 4 must agree on the peak
     value being traded; case 5 splits by whether a fresh run start k is
     created (and then on which k), mirroring ``run_start_case``.
     """
-    case, k = _insert_case(kind, a, p)
+    case, k = _insert_case(a, p, view)
     if case == 5:
         return (5, "new", k) if k is not None and a < k else (5, "keep")
     return (case,) if k is None else (case, k)
@@ -601,9 +630,10 @@ def _anchor_matching(sig: Word, img: Word) -> dict[Anchor, Anchor]:
     """
     left: dict[tuple, list[Anchor]] = {}
     right: dict[tuple, list[Anchor]] = {}
+    sig_view, img_view = _case_view("peaks", sig), _case_view("sorted", img)
     for a in anchor_labels(len(sig) + 1):
-        left.setdefault(_pairing_key("peaks", a, sig), []).append(a)
-        right.setdefault(_pairing_key("sorted", a, img), []).append(a)
+        left.setdefault(_pairing_key(a, sig, sig_view), []).append(a)
+        right.setdefault(_pairing_key(a, img, img_view), []).append(a)
     if {key: len(v) for key, v in left.items()} != {key: len(v) for key, v in right.items()}:
         raise AssertionError(
             f"internal invariant violation: anchor buckets differ "

@@ -181,12 +181,13 @@ def gamma_fixed_words(n: int) -> list[str]:
 def symmetric_fixed_words(n: int) -> list[str]:
     """
     Run-sorted words with n zeros and n ones equal to their own reverse
-    complement.  These are exactly the words whose biword is a reversed
-    partition over itself, so they biject with the partitions of n.
+    complement, in lexicographic order.  These are exactly the words whose
+    biword is a reversed partition over itself, so they are built as the
+    images of the partitions of n under ``partition_to_fixed_word``.
     """
-    return [
-        w for w in enumerate_runsorted_words(n, n) if reverse_complement(w) == w
-    ]
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return sorted(partition_to_fixed_word(lam) for lam in partitions(n))
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -275,12 +275,13 @@ def _suite_admissibility(args) -> dict:
     bad = []
     for m in range(2, top + 1):
         for p in perms.enumerate_sn(m):
+            sorted_peaks, slopes = perms.spv(p), perms.slope_set(p)
             for a in range(1, m + 1):
                 i = p.index(a)
-                if i + 1 < m and p[i + 1] in perms.spv(p):
+                if i + 1 < m and p[i + 1] in sorted_peaks:
                     if bj.is_peak_admissible(p, a) != bj.peak_admissible_by_definition(p, a):
                         bad.append({"kind": "peak", "p": list(p), "a": a})
-                if a in perms.slope_set(p):
+                if a in slopes:
                     if bj.is_slope_admissible(p, a) != bj.slope_admissible_by_definition(p, a):
                         bad.append({"kind": "slope", "p": list(p), "a": a})
     return {

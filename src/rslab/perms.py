@@ -86,7 +86,7 @@ def runsort(word: Sequence[int]) -> Word:
     >>> runsort((2, 9, 7, 3, 6, 8, 5, 1, 4))
     (1, 4, 2, 9, 3, 6, 8, 5, 7)
     """
-    return tuple(x for r in sorted(runs(word)) for x in r)
+    return tuple(itertools.chain.from_iterable(sorted(runs(word))))
 
 
 def is_runsorted(word: Sequence[int]) -> bool:
@@ -177,7 +177,9 @@ def slope_set(perm: Sequence[int]) -> set[int]:
 
     Concretely: writing w = runsort(perm), a qualifies iff a is not the
     last letter of its run of w, and, when that run is not the last run
-    of w, a is not the second-to-last letter either.
+    of w, a is not the second-to-last letter either.  One pass over w
+    reads this off: keep w[j] when w[j] < w[j+1] and either w[j+1] ends
+    w or w[j+1] < w[j+2].
 
     >>> sorted(slope_set((2, 5, 6, 1, 7, 3, 4)))
     [2, 3]
@@ -185,17 +187,12 @@ def slope_set(perm: Sequence[int]) -> set[int]:
     [1, 3, 4, 5]
     """
     w = runsort(perm)
-    rr = runs(w)
-    out: set[int] = set()
-    for idx, r in enumerate(rr):
-        last_run = idx == len(rr) - 1
-        for pos, v in enumerate(r):
-            if pos == len(r) - 1:
-                continue
-            if not last_run and pos == len(r) - 2:
-                continue
-            out.add(v)
-    return out
+    n = len(w)
+    return {
+        w[j]
+        for j in range(n - 1)
+        if w[j] < w[j + 1] and (j + 2 == n or w[j + 1] < w[j + 2])
+    }
 
 
 def standardize(word: Sequence[int]) -> Word:

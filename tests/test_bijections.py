@@ -1,4 +1,5 @@
 """Set-partition correspondence and the two insertion bijections."""
+import hashlib
 import itertools
 import math
 
@@ -339,3 +340,36 @@ def test_residual_census_json():
     census = bj.residual_census(7, 3)
     assert [len(census[j]) for j in (1, 2, 3, 4, 5)] == [40, 2, 2, 4, 4]
     assert sorted(census[2]) == [P("7134526"), P("7261345")]
+
+
+def test_residual_census_refuses_anchor_outside_range():
+    for a in (0, 9):
+        with pytest.raises(ValueError):
+            bj.residual_census(5, a)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_residual_census_n7_pinned():
+    # recorded before the admissibility bodies read precomputed runs
+    census = {a: bj.residual_census(7, a) for a in range(1, 8)}
+    assert _digest(census) == (
+        "b9f4e7ebbdf939d2cdebacadfe40012ad0be53eedf94f6c80eed6d910d42c51b"
+    )
+
+
+def test_lex_insertion_pinned():
+    # every anchor and every p in S_m, m <= 6; recorded before the
+    # five-case rule read a precomputed (word, peak set) pair
+    rows = []
+    for m in range(1, 7):
+        for p in itertools.permutations(range(1, m + 1)):
+            for a in bj.anchor_labels(m + 1):
+                case, starts = bj.run_start_case("sorted", a, p)
+                rows.append((p, a, bj.lex_peak_insert(a, p), case, sorted(starts)))
+    assert len(rows) == 5912
+    assert _digest(rows) == (
+        "120e9abce93159e6bda2cdd0b38fed8b66a9d21bc31a9cfa3d2f53f37d981479"
+    )

@@ -107,6 +107,16 @@ class TestPartitionFixedPoints:
             assert len(bw.symmetric_fixed_words(n)) == bw.partition_count(n), n
         assert bw.partition_count(12) == 77
 
+    def test_symmetric_equals_filter_of_runsorted_words(self):
+        for n in range(0, 12):
+            want = [
+                w for w in bw.enumerate_runsorted_words(n, n)
+                if bw.reverse_complement(w) == w
+            ]
+            assert bw.symmetric_fixed_words(n) == want, n
+        with pytest.raises(ValueError):
+            bw.symmetric_fixed_words(-1)
+
     def test_gamma_fixed_is_strictly_larger(self):
         # the composite map also fixes words whose biword columns form a
         # swap-invariant multiset without being a palindrome

@@ -1,4 +1,6 @@
 """Core word/permutation statistics."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,27 @@ def test_slope_set_examples():
     assert perms.slope_set(P("4312657")) == {1, 3, 4, 5}
     # single-run word: only the final letter is excluded
     assert perms.slope_set(tuple(range(1, 7))) == set(range(1, 6))
+
+
+def _slope_set_from_runs(perm):
+    """The run-by-run reading of the slope set, kept as the oracle."""
+    rr = perms.runs(perms.runsort(perm))
+    out = set()
+    for idx, r in enumerate(rr):
+        last_run = idx == len(rr) - 1
+        for pos, v in enumerate(r):
+            if pos == len(r) - 1:
+                continue
+            if not last_run and pos == len(r) - 2:
+                continue
+            out.add(v)
+    return out
+
+
+def test_slope_set_equals_run_reading():
+    for m in range(1, 9):
+        for p in itertools.permutations(range(1, m + 1)):
+            assert perms.slope_set(p) == _slope_set_from_runs(p), p
 
 
 def test_standardize():
