@@ -26,7 +26,9 @@ The case analysis for the second map, with k the letter following a in
 Case 4 splits on "peak admissibility" and case 5 on "slope
 admissibility"; the non-admissible case-5 permutations fall into either
 the swap image or one of five residual classes permuted by the
-``flip_tails`` involution.
+``flip_tails`` involution.  One classifier decides this three-way
+branch from the runs of p, and every case-5 route takes its verdict;
+``in_swap_image``, which builds the swap preimage, is its test oracle.
 
 ``eta`` stitches the two insertions together into an explicit bijection
 of S_n that maps the peak-value set onto the sorted peak-value set while
@@ -274,6 +276,11 @@ def _lex_runs(p: Word) -> LexRuns:
     return sorted((p[s:e], s, e) for s, e in runs_positions(p))
 
 
+def _joined(rr: LexRuns) -> Word:
+    """runsort(p), read off ``rr = _lex_runs(p)``."""
+    return tuple(chain.from_iterable(w for w, _, _ in rr))
+
+
 def _successor(p: Word, a: int) -> int | None:
     i = p.index(a)
     return p[i + 1] if i + 1 < len(p) else None
@@ -288,10 +295,11 @@ def is_peak_admissible(p: Sequence[int], a: int) -> bool:
     start.
     """
     p = tuple(p)
+    rr = _lex_runs(p)
     k = _successor(p, a)
-    if k not in spv(p):
+    if k not in peak_values(_joined(rr)):
         raise ValueError("needs the letter after a to be a sorted peak value")
-    return _peak_admissible(k, _lex_runs(p))
+    return _peak_admissible(k, rr)
 
 
 def _peak_admissible(k: int, rr: LexRuns) -> bool:
@@ -321,12 +329,12 @@ def swap_tail(a: int, p: Sequence[int]) -> Word:
     k for the new maximum in the sorted peak set.
     """
     p = tuple(p)
-    k = _successor(p, a)
-    if k not in spv(p):
-        raise ValueError("swap_tail: letter after a must be a sorted peak value")
-    if is_peak_admissible(p, a):
-        raise ValueError("swap_tail: pair is peak admissible, nothing to fix")
     rr = _lex_runs(p)
+    k = _successor(p, a)
+    if k not in peak_values(_joined(rr)):
+        raise ValueError("swap_tail: letter after a must be a sorted peak value")
+    if _peak_admissible(k, rr):
+        raise ValueError("swap_tail: pair is peak admissible, nothing to fix")
     straddle = [(w, s, e) for w, s, e in rr if w[0] < k < w[-1]]
     word, s, e = max(straddle, key=lambda t: t[0][0])
     cut = s
@@ -366,12 +374,9 @@ def swap_tail_inverse(a: int, p: Sequence[int]) -> Word | None:
     pos = rest.index(g1[0][-1])
     sigma = tuple(rest[: pos + 1] + upper + rest[pos + 1 :])
     try:
-        if (
-            sigma[sigma.index(a) + 1] == k
-            and k in spv(sigma)
-            and not is_peak_admissible(sigma, a)
-            and swap_tail(a, sigma) == p
-        ):
+        # swap_tail raises unless k is a sorted peak of sigma and the pair
+        # is not peak admissible
+        if sigma[sigma.index(a) + 1] == k and swap_tail(a, sigma) == p:
             return sigma
     except (IndexError, ValueError):
         return None
@@ -379,7 +384,46 @@ def swap_tail_inverse(a: int, p: Sequence[int]) -> Word | None:
 
 
 def in_swap_image(p: Sequence[int], a: int) -> bool:
+    """Swap-image membership by building the preimage; the oracle for the
+    None verdict of the case-5 classifier."""
     return swap_tail_inverse(a, tuple(p)) is not None
+
+
+def _case5_class(p: Word, a: int, rr: LexRuns) -> int | None:
+    """
+    The case-5 verdict for a in slope_set(p), on the caller's
+    ``rr = _lex_runs(p)``: 0 when the pair is slope admissible, the
+    residual class 1..5, or None when p lies in the swap image for a.
+
+    Outside the slope set a ends its run or precedes its run's last
+    letter k, so the verdict is 0 or None: every residual class needs a
+    letter above k in a's run.  A verdict 1..5 alone marks a residual pair.
+    """
+    i = p.index(a)
+    aidx = next(j for j, (w, s, e) in enumerate(rr) if s <= i < e)
+    word, s, e = rr[aidx]
+    if i == e - 1 or aidx == len(rr) - 1:
+        return 0  # a ends its run, or a's run is lexicographically largest
+    k = p[i + 1]
+    if k < rr[aidx + 1][0][0]:
+        return 0  # the next run starts above k
+    top = word[-1]
+    above = [j for j, (w, _, _) in enumerate(rr) if w[0] > k]
+    if not above:
+        return 1 if rr[-1][0][-1] > k and top > k else None
+    m1 = min(above)
+    em, sm1 = rr[m1 - 1][0][-1], rr[m1][0][0]
+    if top > sm1 and (em < k) == (em < sm1):
+        return 0
+    if k < top < em < sm1:
+        return 2
+    if k < em < top < sm1:
+        return 3
+    if k < top < sm1 < em:
+        return 4
+    if k < em < sm1 < top:
+        return 5
+    return None
 
 
 def is_slope_admissible(p: Sequence[int], a: int) -> bool:
@@ -391,30 +435,7 @@ def is_slope_admissible(p: Sequence[int], a: int) -> bool:
     p = tuple(p)
     if a not in slope_set(p):
         raise ValueError("a must lie in the slope set")
-    return _slope_admissible(p, a, _lex_runs(p))
-
-
-def _slope_admissible(p: Word, a: int, rr: LexRuns) -> bool:
-    """``is_slope_admissible`` for a in slope_set(p), on the caller's
-    ``rr = _lex_runs(p)``."""
-    i = p.index(a)
-    aidx = next(j for j, (w, s, e) in enumerate(rr) if s <= i < e)
-    word, s, e = rr[aidx]
-    if i == e - 1:
-        return True  # a ends its run
-    if aidx == len(rr) - 1:
-        return True  # a's run is lexicographically largest
-    k = p[i + 1]
-    top = word[-1]
-    if k < rr[aidx + 1][0][0]:
-        return True  # the next run starts above k
-    starts = [w[0] for w, _, _ in rr]
-    ends = [w[-1] for w, _, _ in rr]
-    above = [j for j in range(len(rr)) if starts[j] > k]
-    if not above:
-        return False
-    m1 = min(above)
-    return top > starts[m1] and (ends[m1 - 1] < k) == (ends[m1 - 1] < starts[m1])
+    return _case5_class(p, a, _lex_runs(p)) == 0
 
 
 def slope_admissible_by_definition(p: Sequence[int], a: int) -> bool:
@@ -429,32 +450,14 @@ def residual_class(p: Sequence[int], a: int) -> int:
     swap image into one of five residual classes (1..5), read off from
     the run straddling k with the largest start.  The classes are pairwise
     disjoint and ``flip_tails`` fixes class 1 setwise while exchanging
-    2 <-> 3 and 4 <-> 5.
+    2 <-> 3 and 4 <-> 5.  Any other pair raises ValueError.
     """
     p = tuple(p)
-    rr = _lex_runs(p)
-    i = p.index(a)
-    k = p[i + 1]
-    aidx = next(j for j, (w, s, e) in enumerate(rr) if s <= i < e)
-    top = rr[aidx][0][-1]
-    starts = [w[0] for w, _, _ in rr]
-    ends = [w[-1] for w, _, _ in rr]
-    above = [j for j in range(len(rr)) if starts[j] > k]
-    if not above:
-        if ends[-1] > k and top > k:
-            return 1
-        raise ValueError("pair lies in the swap image, not a residual class")
-    m1 = min(above)
-    em, sm1 = ends[m1 - 1], starts[m1]
-    if k < top < em < sm1:
-        return 2
-    if k < em < top < sm1:
-        return 3
-    if k < top < sm1 < em:
-        return 4
-    if k < em < sm1 < top:
-        return 5
-    raise ValueError("pair is slope admissible or in the swap image")
+    cls = _case5_class(p, a, _lex_runs(p))
+    if not cls:
+        raise ValueError("pair is not residual: outside the slope set, "
+                         "slope admissible or in the swap image")
+    return cls
 
 
 def residual_census(n: int, a: int) -> dict[int, list[Word]]:
@@ -466,24 +469,10 @@ def residual_census(n: int, a: int) -> dict[int, list[Word]]:
         raise ValueError(f"anchor must lie in 1..{n}")
     out: dict[int, list[Word]] = {1: [], 2: [], 3: [], 4: [], 5: []}
     for p in enumerate_sn(n):
-        if a not in slope_set(p):
-            continue
-        if _slope_admissible(p, a, _lex_runs(p)) or in_swap_image(p, a):
-            continue
-        out[residual_class(p, a)].append(p)
+        cls = _case5_class(p, a, _lex_runs(p))
+        if cls:
+            out[cls].append(p)
     return out
-
-
-def _is_residual(p: Word, a: int) -> bool:
-    """Full domain check for the residual classes."""
-    try:
-        return (
-            a in slope_set(p)
-            and not is_slope_admissible(p, a)
-            and not in_swap_image(p, a)
-        )
-    except (ValueError, IndexError):
-        return False
 
 
 def flip_tails(a: int, p: Sequence[int]) -> Word:
@@ -495,10 +484,9 @@ def flip_tails(a: int, p: Sequence[int]) -> Word:
     with ``insert_after`` adds the new maximum to the sorted peak set.
     """
     p = tuple(p)
-    if not _is_residual(p, a):
-        raise ValueError(f"{a} is not a residual anchor for {p}")
-    residual_class(p, a)  # classifies; also rejects any leftover edge case
     rr = _lex_runs(p)
+    if not _case5_class(p, a, rr):
+        raise ValueError(f"{a} is not a residual anchor for {p}")
     occ = runs_positions(p)
     i = p.index(a)
     k = p[i + 1]
@@ -548,13 +536,16 @@ def lex_peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     """
     p = tuple(p)
     rr = _lex_runs(p)
-    w = tuple(chain.from_iterable(r for r, _, _ in rr))  # runsort(p)
+    w = _joined(rr)
     case, k = _insert_case(a, p, (w, peak_values(w)))
     if case == 4 and not _peak_admissible(k, rr):
         p = swap_tail(a, p)
-    elif case == 5 and not _slope_admissible(p, a, rr):
-        pre = swap_tail_inverse(a, p)
-        p = flip_tails(a, p) if pre is None else pre
+    elif case == 5:
+        cls = _case5_class(p, a, rr)
+        if cls is None:
+            p = swap_tail_inverse(a, p)
+        elif cls:
+            p = flip_tails(a, p)
     return insert_after(a, p), case
 
 

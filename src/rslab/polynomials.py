@@ -343,9 +343,15 @@ def runsorted_descent_poly(n: int) -> Poly:
 def run_count_poly(n: int) -> Poly:
     """
     Run-count generating polynomial R with coefficient of t^k counting
-    run-sorted permutations of [n] with k runs; computed independently
-    through the derivative recurrence R_n = t R'_{n-1} + t (n-2) R_{n-2}.
+    run-sorted permutations of [n] with k runs: k runs means k-1 descents,
+    so R_n = t A_n.
     """
+    return runsorted_descent_poly(n).shift_up()
+
+
+def run_count_poly_by_derivative(n: int) -> Poly:
+    """Oracle for :func:`run_count_poly`:
+    R_n = t R'_{n-1} + t (n-2) R_{n-2}."""
     if n < 1:
         raise ValueError("n must be >= 1")
     t = Poly.t()

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .polynomials import Poly, run_count_triangle, peak_poly
+from .polynomials import Poly, peak_poly, runsorted_descent_poly
 
 DEFAULT_ORDER = 12
 
@@ -138,35 +138,38 @@ def egf_runsorted_descents(order: int = DEFAULT_ORDER) -> Series:
     return e * series_exp(inner, one)
 
 
-def egf_runsorted_report(order: int = DEFAULT_ORDER) -> dict:
-    g = egf_runsorted_descents(order)
+def _egf_report(
+    order: int, g: Series, want: Callable[[int], Poly], first: int = 0
+) -> dict:
+    """Compare n! [u^n] g with want(n) for first <= n <= order."""
     mismatches = []
-    for n in range(order + 1):
-        want = Poly(run_count_triangle(n + 1)[n])
-        got = g.coeffs[n] * factorial(n)
-        if got != want:
-            mismatches.append({"n": n, "got": got.to_json(), "want": want.to_json()})
+    for n in range(first, order + 1):
+        got, w = g.coeffs[n] * factorial(n), want(n)
+        if got != w:
+            mismatches.append({"n": n, "got": got.to_json(), "want": w.to_json()})
     return {"order": order, "ok": not mismatches, "mismatches": mismatches}
+
+
+def egf_runsorted_report(order: int = DEFAULT_ORDER) -> dict:
+    return _egf_report(
+        order, egf_runsorted_descents(order), lambda n: runsorted_descent_poly(n + 1)
+    )
 
 
 def sheffer_product_check(order: int = DEFAULT_ORDER) -> dict:
     """
     Verify that the series assembled from the run-count recurrence equals
-    the product form P(u) * exp(t*Q(u)) with P = e^u and Q = e^u - u - 1.
+    the product form P(u) * exp(t*Q(u)) with P = e^u and Q = e^u - u - 1;
+    that identity is the check of ``egf_runsorted_report``.
 
     Note: Q has no linear term, so the pair falls outside the classical
     normalisation P(0) != 0, Q'(0) != 0 even though the product identity
     itself holds; the report records both facts.
     """
-    product = egf_runsorted_descents(order)
-    triangle = run_count_triangle(order + 1)
-    assembled = Series(
-        [Poly(triangle[n]) / factorial(n) for n in range(order + 1)]
-    )
     q_linear = Fraction(1, 1) - 1  # [u^1] of e^u - u - 1
     return {
         "order": order,
-        "identity_holds": product == assembled,
+        "identity_holds": egf_runsorted_report(order)["ok"],
         "p_constant_nonzero": True,
         "q_linear_coefficient_zero": q_linear == 0,
     }
@@ -192,17 +195,9 @@ def egf_peaks(order: int = DEFAULT_ORDER) -> Series:
 def egf_peaks_report(order: int = DEFAULT_ORDER) -> dict:
     """The tan form starts at u^1 (its constant term is 0), so n >= 1."""
     g = egf_peaks(order)
-    mismatches = []
-    for n in range(1, order + 1):
-        want = peak_poly(n)
-        got = g.coeffs[n] * factorial(n)
-        if got != want:
-            mismatches.append({"n": n, "got": got.to_json(), "want": want.to_json()})
-    return {
-        "order": order,
-        "ok": not mismatches and g.coeffs[0].is_zero(),
-        "mismatches": mismatches,
-    }
+    report = _egf_report(order, g, peak_poly, first=1)
+    report["ok"] = report["ok"] and g.coeffs[0].is_zero()
+    return report
 
 
 def expected_peaks_series(order: int = DEFAULT_ORDER) -> list[Fraction]:
@@ -240,11 +235,4 @@ def egf_binary_descents(order: int = DEFAULT_ORDER) -> Series:
 def egf_binary_report(order: int = DEFAULT_ORDER) -> dict:
     from .binwords import binary_descent_poly
 
-    g = egf_binary_descents(order)
-    mismatches = []
-    for n in range(order + 1):
-        want = binary_descent_poly(n)
-        got = g.coeffs[n] * factorial(n)
-        if got != want:
-            mismatches.append({"n": n, "got": got.to_json(), "want": want.to_json()})
-    return {"order": order, "ok": not mismatches, "mismatches": mismatches}
+    return _egf_report(order, egf_binary_descents(order), binary_descent_poly)

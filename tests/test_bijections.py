@@ -206,21 +206,32 @@ class TestResidualClasses:
 
     def test_case5_partition(self):
         # slope-admissible, swap image, and the residual classes tile the
-        # slope-set anchors with nothing left over
+        # slope-set anchors with nothing left over; the classifier's
+        # verdict is checked against the defining conditions
         for m in range(2, 8):
             for p in itertools.permutations(range(1, m + 1)):
-                for a in perms.slope_set(p):
-                    flags = [
-                        bj.is_slope_admissible(p, a),
-                        bj.in_swap_image(p, a),
-                    ]
-                    if any(flags):
-                        assert sum(flags) == 1
-                        if flags[1]:
-                            with pytest.raises(ValueError):
-                                bj.residual_class(p, a)
-                    else:
-                        assert bj.residual_class(p, a) in (1, 2, 3, 4, 5)
+                slopes = perms.slope_set(p)
+                for a in range(1, m + 1):
+                    swap = bj.in_swap_image(p, a)
+                    if a not in slopes:
+                        assert not swap, (p, a)
+                        with pytest.raises(ValueError):
+                            bj.residual_class(p, a)
+                        continue
+                    slope = bj.slope_admissible_by_definition(p, a)
+                    assert bj.is_slope_admissible(p, a) == slope, (p, a)
+                    try:
+                        cls = bj.residual_class(p, a)
+                    except ValueError:
+                        cls = None
+                    assert (cls is None) == (slope or swap), (p, a)
+                    assert not (slope and swap), (p, a)
+                    assert cls in (None, 1, 2, 3, 4, 5)
+
+    def test_residual_class_refuses_pairs_outside_its_domain(self):
+        for p, a in (((1, 2, 3), 1), ((5, 3, 4, 1, 2), 4), ((2, 1), 1)):
+            with pytest.raises(ValueError):
+                bj.residual_class(p, a)
 
     def test_spv_update_formulas(self):
         # each class updates the sorted peak set by its own recipe

@@ -25,6 +25,7 @@ from rslab.polynomials import (
     peak_poly_by_enumeration,
     peak_triangle,
     run_count_poly,
+    run_count_poly_by_derivative,
     run_count_triangle,
     runsorted_descent_poly,
 )
@@ -115,7 +116,7 @@ class TestDescentFamilies:
 
     def test_run_count_poly_matches(self):
         for n in range(1, 31):
-            assert run_count_poly(n) == runsorted_descent_poly(n).shift_up()
+            assert run_count_poly(n) == run_count_poly_by_derivative(n)
         assert run_count_poly(1) == Poly.t()
         assert run_count_poly(3) == Poly([0, 1, 1])
         assert run_count_poly(4) == Poly([0, 1, 4])
