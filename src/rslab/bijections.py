@@ -43,8 +43,8 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .perms import (
+    CapExceeded,
     Word,
-    check_cap,
     enumerate_sn,
     is_permutation,
     is_runsorted,
@@ -675,9 +675,11 @@ def build_peak_transport(n: int) -> dict[Word, Word]:
     """
     The table {sigma: eta(sigma)} over S_n, with one memo shared by all
     n! calls.  The table holds n! entries, so it stops at
-    n = TRANSPORT_CAP below the general cap.
+    n = TRANSPORT_CAP whatever the general cap.
     """
-    check_cap(n, TRANSPORT_CAP)
+    if n > TRANSPORT_CAP:
+        raise CapExceeded(f"refusing to enumerate S_{n}: cap is {TRANSPORT_CAP} "
+                          "(this route holds n! objects in memory)")
     memo: dict[Word, tuple[Word, dict[Anchor, Anchor]]] = {}
     return {sig: _eta(sig, memo) for sig in enumerate_sn(n)}
 

@@ -16,22 +16,13 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-from .perms import check_cap
-from .polynomials import MPoly, Poly
+from .perms import check_cap, runs_positions
+from .polynomials import Poly
 
 
 def bw_runs(w: str) -> list[str]:
     """Maximal weakly increasing segments, in occurrence order."""
-    if not w:
-        return []
-    out = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i] < w[i - 1]:
-            out.append(w[start:i])
-            start = i
-    out.append(w[start:])
-    return out
+    return [w[a:b] for a, b in runs_positions(w)] if w else []
 
 
 def bw_runsort(w: str) -> str:
@@ -166,18 +157,6 @@ def rc_runsort(w: str) -> str:
     return bw_runsort(reverse_complement(w))
 
 
-def gamma_fixed_words(n: int) -> list[str]:
-    """
-    Run-sorted words with n zeros and n ones fixed by rc_runsort.
-
-    Beware: this set is strictly larger than the partition-shaped one from
-    n = 3 on ("001101" is the first extra member: its biword columns
-    {(1,1),(2,2)} form a swap-invariant multiset without being a
-    palindrome).  The partition bijection lives on symmetric_fixed_words.
-    """
-    return [w for w in enumerate_runsorted_words(n, n) if rc_runsort(w) == w]
-
-
 def symmetric_fixed_words(n: int) -> list[str]:
     """
     Run-sorted words with n zeros and n ones equal to their own reverse
@@ -240,25 +219,6 @@ def partition_to_fixed_word(lam: Sequence[int]) -> str:
     return biword_to_word(Biword(tuple(zip(reversed(lam), lam))))
 
 
-def fixed_beta_monomials(n: int) -> MPoly:
-    """Sum over the symmetric words of prod_j x_j^(zeros in j-th run)."""
-    out = MPoly()
-    for w in symmetric_fixed_words(n):
-        mono = tuple(
-            (j + 1, z) for j, (z, _) in enumerate(run_blocks(w)) if z > 0
-        )
-        out = out + MPoly({mono: 1})
-    return out
-
-
-def partition_monomials(n: int) -> MPoly:
-    out = MPoly()
-    for lam in partitions(n):
-        mono = tuple((i + 1, part) for i, part in enumerate(lam))
-        out = out + MPoly({mono: 1})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Counting identities
 # ---------------------------------------------------------------------------
@@ -269,6 +229,8 @@ def product_count_table(max_a: int, max_b: int) -> list[list[int]]:
     entry [a][b] counts multisets of positive pairs with componentwise sum
     (a, b).
     """
+    if max_a < 0 or max_b < 0:
+        raise ValueError("counts must be non-negative")
     table = [[0] * (max_b + 1) for _ in range(max_a + 1)]
     table[0][0] = 1
     for i in range(1, max_a + 1):
@@ -318,6 +280,8 @@ def maj_pair_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 def maj_pair_count(a: int, b: int) -> int:
     """Number of permutations of [a+b] with maj = a and inverse maj = b."""
+    if a < 0 or b < 0:
+        raise ValueError("counts must be non-negative")
     table = maj_pair_table(a + b)
     if a >= len(table) or b >= len(table):
         return 0
@@ -411,16 +375,6 @@ def roselle_identity_check(z_order: int = 4, q_order: int = 6, t_order: int = 6)
 # ---------------------------------------------------------------------------
 # Descents after run-sorting
 # ---------------------------------------------------------------------------
-
-def descents_after_runsort(w: str) -> int:
-    """
-    Number of descents of runsort(w), read off without sorting: each
-    maximal 0-block/1-block alternation "01" marks one mixed run, and the
-    sorted word descends exactly between consecutive mixed runs.
-    """
-    c01 = sum(1 for i in range(len(w) - 1) if w[i] == "0" and w[i + 1] == "1")
-    return max(0, c01 - 1)
-
 
 def binary_descent_poly(n: int) -> Poly:
     """

@@ -149,7 +149,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_eta(args) -> dict:
-    n = args.n or 7
+    n = 7 if args.n is None else args.n
     table = bj.build_peak_transport(n)
     bad = []
     for sig, img in table.items():
@@ -161,7 +161,8 @@ def _suite_eta(args) -> dict:
 
 
 def _suite_interlacing(args) -> dict:
-    rep = rr.verify_interlacing_family(args.family or "R", args.max_n or 25)
+    n_max = 25 if args.max_n is None else args.max_n
+    rep = rr.verify_interlacing_family(args.family or "R", n_max)
     rep["suite"] = "interlacing"
     rep["n_failures"] = len(rep["failures"])
     return rep
@@ -169,7 +170,7 @@ def _suite_interlacing(args) -> dict:
 
 def _suite_same_phase(args) -> dict:
     family = args.family or "Q"
-    n_max = args.max_n or 8
+    n_max = 8 if args.max_n is None else args.max_n
     samples = args.samples
     # one shard per worker over consecutive sample ranges; at least one
     # shard, so that a scan of zero samples still reports
@@ -193,7 +194,7 @@ def _suite_same_phase(args) -> dict:
 
 
 def _suite_egf(args) -> dict:
-    order = args.order or 11
+    order = 11 if args.order is None else args.order
     reports = {
         "runsorted": sr.egf_runsorted_report(order),
         "peaks": sr.egf_peaks_report(min(order, 10)),
@@ -208,7 +209,7 @@ def _suite_egf(args) -> dict:
 
 
 def _suite_binary(args) -> dict:
-    top = args.max_n or 10
+    top = 10 if args.max_n is None else args.max_n
     problems = []
     table = bw.product_count_table(top, top)
     for tot in range(0, top + 1):
@@ -246,7 +247,7 @@ def _suite_mip(args) -> dict:
         pairs = [(args.a, args.b)]
         top = args.a + args.b
     else:
-        top = args.max_n or 10
+        top = 10 if args.max_n is None else args.max_n
         pairs = [(a, tot - a) for tot in range(top + 1) for a in range(tot + 1)]
     table = bw.product_count_table(top, top)
     for a, b in pairs:
@@ -271,7 +272,7 @@ def _suite_golden(args) -> dict:
 
 
 def _suite_admissibility(args) -> dict:
-    top = (args.max_n or 7) - 1
+    top = (7 if args.max_n is None else args.max_n) - 1
     bad = []
     for m in range(2, top + 1):
         for p in perms.enumerate_sn(m):

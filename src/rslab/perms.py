@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
-#: Default ceiling for full enumerations of S_n; override with RSLAB_MAX_N.
+#: Default size cap of the exhaustive routes; override with RSLAB_MAX_N.
 DEFAULT_MAX_N = 11
 
 
@@ -216,18 +216,15 @@ def inverse(perm: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def check_cap(n: int, limit: int | None = None) -> None:
-    """The one size guard of every exhaustive route over S_n: refuse n
-    above the cap (default 11, env var RSLAB_MAX_N, at most ``limit``) so
-    a typo cannot silently start a multi-day enumeration."""
+def check_cap(n: int) -> None:
+    """The one size guard of every exhaustive route: refuse n above the
+    cap (default 11, env var RSLAB_MAX_N) so a typo cannot silently start
+    a computation that grows faster than any power of n."""
     cap = int(os.environ.get("RSLAB_MAX_N", DEFAULT_MAX_N))
-    hint = "raise RSLAB_MAX_N to override"
-    if limit is not None and limit < cap:
-        cap, hint = limit, "this route holds n! objects in memory"
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
-        raise CapExceeded(f"refusing to enumerate S_{n}: cap is {cap} ({hint})")
+        raise CapExceeded(f"refusing n={n}: cap is {cap} (raise RSLAB_MAX_N to override)")
 
 
 def enumerate_sn(n: int) -> Iterator[Word]:

@@ -115,9 +115,9 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift_up(self, k: int = 1) -> "Poly":
-        """Multiply by t^k."""
-        return Poly([0] * k + list(self.coeffs))
+    def shift_up(self) -> "Poly":
+        """Multiply by t."""
+        return Poly([0] + list(self.coeffs))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact rational Euclidean division."""
@@ -159,7 +159,7 @@ class Poly:
             return self.monic()
         return self.exact_div(self.gcd(self.derivative())).monic()
 
-    def human(self, var: str = "t") -> str:
+    def human(self) -> str:
         """Descending-degree ASCII rendering, e.g. ``3t^2+11t+1``."""
         if self.is_zero():
             return "0"
@@ -173,7 +173,7 @@ class Poly:
             if i == 0:
                 body = str(mag)
             else:
-                v = var if i == 1 else f"{var}^{i}"
+                v = "t" if i == 1 else f"t^{i}"
                 body = v if mag == 1 else f"{mag}{v}"
             parts.append(sign + body)
         return "".join(parts)
@@ -266,15 +266,6 @@ class MPoly:
             key = tuple(sorted((mapping[v], e) for v, e in m))
             out[key] = out.get(key, 0) + c
         return MPoly(out)
-
-    def specialize(self) -> Poly:
-        """Send every variable to t."""
-        out: dict[int, Scalar] = {}
-        for m, c in self.terms.items():
-            d = sum(e for _, e in m)
-            out[d] = out.get(d, 0) + c
-        size = max(out) + 1 if out else 0
-        return Poly([out.get(i, 0) for i in range(size)])
 
     def ray_restriction(self, lam: Sequence[Scalar]) -> Poly:
         """

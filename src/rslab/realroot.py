@@ -394,53 +394,3 @@ def merge_scans(parts: Sequence[dict]) -> dict:
     failures.sort(key=lambda d: (d["n"], d["sample"]))
     return {**parts[0], "samples": sum(p["samples"] for p in parts),
             "verdict": not failures, "failures": failures}
-
-
-# ---------------------------------------------------------------------------
-# Interlacing closure properties (sum and shift closure)
-# ---------------------------------------------------------------------------
-
-def wagner_closure_check(f: Poly, g: Poly, h: Poly) -> dict:
-    """
-    For real-rooted f, g, h with non-positive roots and positive leading
-    coefficients, test the three classical closure laws:
-
-    (i)   f <= h and g <= h  implies  f+g <= h
-    (ii)  h <= f and h <= g  implies  h <= f+g
-    (iii) g <= f  iff  f <= t*g
-
-    (<= meaning "interlaces").  Returns which hypotheses applied and
-    whether the corresponding conclusions held.
-    """
-    t = Poly.t()
-    out = {}
-    fg = f + g
-    if interlaces(f, h).verdict and interlaces(g, h).verdict:
-        out["sum_below"] = interlaces(fg, h).verdict
-    if interlaces(h, f).verdict and interlaces(h, g).verdict:
-        out["sum_above"] = interlaces(h, fg).verdict
-    out["shift_equivalence"] = (
-        interlaces(g, f).verdict == interlaces(f, t * g).verdict
-    )
-    return out
-
-
-def random_interlacing_pair(rng: SplitMix64, degree: int) -> tuple[Poly, Poly]:
-    """
-    A random pair f <= g built from an interleaved chain of non-positive
-    rational roots (g's largest root on top), with random positive leading
-    coefficients.
-    """
-    chain = sorted(
-        (-rational_in_0_10(rng) for _ in range(2 * degree)), reverse=True
-    )
-    g_roots = chain[0::2]
-    f_roots = chain[1::2]
-
-    def build(roots: list[Fraction]) -> Poly:
-        out = Poly.const(1 + rng.below(4))
-        for r in roots:
-            out = out * Poly([-r, 1])
-        return out
-
-    return build(f_roots), build(g_roots)

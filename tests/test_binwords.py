@@ -6,6 +6,7 @@ import pytest
 
 from rslab import binwords as bw
 from rslab import perms
+from rslab.binwords import enumerate_runsorted_words, rc_runsort
 from rslab.polynomials import Poly
 
 
@@ -101,6 +102,18 @@ class TestReverseComplement:
             assert bw.word_to_biword(bw.rc_runsort(w)).columns == tuple(swapped)
 
 
+def gamma_fixed_words(n: int) -> list[str]:
+    """
+    Run-sorted words with n zeros and n ones fixed by rc_runsort.
+
+    Beware: this set is strictly larger than the partition-shaped one from
+    n = 3 on ("001101" is the first extra member: its biword columns
+    {(1,1),(2,2)} form a swap-invariant multiset without being a
+    palindrome).  The partition bijection lives on symmetric_fixed_words.
+    """
+    return [w for w in enumerate_runsorted_words(n, n) if rc_runsort(w) == w]
+
+
 class TestPartitionFixedPoints:
     def test_counts(self):
         for n in range(0, 13):
@@ -122,9 +135,9 @@ class TestPartitionFixedPoints:
         # swap-invariant multiset without being a palindrome
         assert bw.rc_runsort("001101") == "001101"
         assert "001101" not in bw.symmetric_fixed_words(3)
-        assert len(bw.gamma_fixed_words(3)) == 4
+        assert len(gamma_fixed_words(3)) == 4
         for n in range(0, 9):
-            sym, gam = bw.symmetric_fixed_words(n), bw.gamma_fixed_words(n)
+            sym, gam = bw.symmetric_fixed_words(n), gamma_fixed_words(n)
             assert set(sym) <= set(gam)
             if n >= 3:
                 assert len(gam) > len(sym)
@@ -141,10 +154,6 @@ class TestPartitionFixedPoints:
                 lam = bw.fixed_word_to_partition(w)
                 assert sum(lam) == n
                 assert bw.partition_to_fixed_word(lam) == w
-
-    def test_beta_monomial_identity(self):
-        for n in range(0, 9):
-            assert bw.fixed_beta_monomials(n) == bw.partition_monomials(n)
 
     def test_partition_count_both_routes(self):
         for n in range(0, 14):
@@ -185,6 +194,14 @@ class TestCountIdentities:
         with pytest.raises(perms.CapExceeded):
             bw.maj_pair_count(20, 20)
 
+    def test_negative_counts_refused(self):
+        # a negative index would read the table from its end
+        for a, b in [(-4, 9), (-6, 13), (3, -1)]:
+            with pytest.raises(ValueError):
+                bw.maj_pair_count(a, b)
+        with pytest.raises(ValueError):
+            bw.product_count_table(-3, -3)
+
     def test_maj_pair_table_against_direct_definition(self):
         # independent brute force straight from the definitions
         for n in range(0, 9):
@@ -221,12 +238,22 @@ class TestRoselle:
         assert rep["ok"]
 
 
+def descents_after_runsort(w: str) -> int:
+    """
+    Number of descents of runsort(w), read off without sorting: each
+    maximal 0-block/1-block alternation "01" marks one mixed run, and the
+    sorted word descends exactly between consecutive mixed runs.
+    """
+    c01 = sum(1 for i in range(len(w) - 1) if w[i] == "0" and w[i + 1] == "1")
+    return max(0, c01 - 1)
+
+
 class TestDescentClassifier:
     def test_examples(self):
-        assert bw.descents_after_runsort("1" * 4 + "0" * 3) == 0
-        assert bw.descents_after_runsort("101") == 0
-        assert bw.descents_after_runsort("0101") == 1
-        assert bw.descents_after_runsort("") == 0
+        assert descents_after_runsort("1" * 4 + "0" * 3) == 0
+        assert descents_after_runsort("101") == 0
+        assert descents_after_runsort("0101") == 1
+        assert descents_after_runsort("") == 0
 
     def test_matches_direct_computation(self):
         for n in range(0, 15):
@@ -235,7 +262,7 @@ class TestDescentClassifier:
                 direct = (
                     perms.des(tuple(int(c) for c in bw.bw_runsort(w))) if w else 0
                 )
-                assert bw.descents_after_runsort(w) == direct
+                assert descents_after_runsort(w) == direct
 
 
 class TestDescentPolynomial:
@@ -253,7 +280,7 @@ class TestDescentPolynomial:
         for n in range(0, 17):
             counts: dict[int, int] = {}
             for bits in itertools.product("01", repeat=n):
-                k = bw.descents_after_runsort("".join(bits))
+                k = descents_after_runsort("".join(bits))
                 counts[k] = counts.get(k, 0) + 1
             top = max(counts) + 1
             assert Poly([counts.get(i, 0) for i in range(top)]) == bw.binary_descent_poly(n)

@@ -106,6 +106,22 @@ def test_verify_mip(capsys):
     assert code == 0
 
 
+def test_verify_mip_refuses_negative_counts(capsys):
+    for a, b in [("-4", "9"), ("-4", "1")]:
+        code, out, err = run(capsys, "verify", "mip", "--a", a, "--b", b)
+        assert code == 2 and out == "" and "non-negative" in err
+
+
+def test_verify_zero_flags_are_values(capsys):
+    # 0 is a value, not "flag not given"
+    code, out, err = run(capsys, "verify", "eta", "--n", "0")
+    assert code == 2 and "n must be at least 1" in err
+    code, out, _ = run(capsys, "verify", "interlacing", "--max-n", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["max_n"] == 0
+    code, out, _ = run(capsys, "verify", "egf", "--order", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["reports"]["runsorted"]["order"] == 0
+
+
 def test_verify_binary(capsys):
     code, out, _ = run(capsys, "verify", "binary", "--max-n", "7")
     assert code == 0

@@ -133,7 +133,7 @@ def test_cap_env(monkeypatch):
 
 
 def test_one_cap_for_every_exhaustive_route(monkeypatch):
-    from rslab import bijections, binwords
+    from rslab import bijections, binwords, polynomials
 
     monkeypatch.setenv("RSLAB_MAX_N", "5")
     binwords.maj_pair_table.cache_clear()
@@ -143,13 +143,12 @@ def test_one_cap_for_every_exhaustive_route(monkeypatch):
         lambda: bijections.residual_census(6, 1),
         lambda: bijections.build_peak_transport(6),
         lambda: binwords.maj_pair_table(6),
+        lambda: polynomials.eulerian_multivar(6),
     ]
     for route in routes:
         with pytest.raises(perms.CapExceeded) as exc:
             route()
-        assert str(exc.value) == (
-            "refusing to enumerate S_6: cap is 5 (raise RSLAB_MAX_N to override)"
-        )
+        assert str(exc.value) == "refusing n=6: cap is 5 (raise RSLAB_MAX_N to override)"
 
 
 def test_serialisation():

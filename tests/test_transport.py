@@ -111,8 +111,11 @@ def test_peak_count_corollary():
 
 
 def test_cap():
-    with pytest.raises(perms.CapExceeded):
+    with pytest.raises(perms.CapExceeded) as exc:
         bj.build_peak_transport(10)
+    assert str(exc.value) == (
+        "refusing to enumerate S_10: cap is 9 (this route holds n! objects in memory)"
+    )
 
 
 def test_csv_export(tmp_path):
