@@ -50,9 +50,8 @@ from .perms import (
     is_runsorted,
     peak_values,
     runs_positions,
-    runsort,
     run_starts,
-    slope_set,
+    runsorted_slope_set,
     spv,
 )
 
@@ -226,8 +225,7 @@ def _case_view(kind: str, p: Word) -> CaseView:
     """
     if kind not in ("peaks", "sorted"):
         raise ValueError("kind must be 'peaks' or 'sorted'")
-    w = p if kind == "peaks" else runsort(p)
-    return w, peak_values(w)
+    return (p, peak_values(p)) if kind == "peaks" else _sorted_view(_lex_runs(p))
 
 
 def _insert_case(a: Anchor, p: Word, view: CaseView) -> tuple[int, int | None]:
@@ -279,6 +277,12 @@ def _lex_runs(p: Word) -> LexRuns:
 def _joined(rr: LexRuns) -> Word:
     """runsort(p), read off ``rr = _lex_runs(p)``."""
     return tuple(chain.from_iterable(w for w, _, _ in rr))
+
+
+def _sorted_view(rr: LexRuns) -> CaseView:
+    """``_case_view("sorted", p)`` read off ``rr = _lex_runs(p)``."""
+    w = _joined(rr)
+    return w, peak_values(w)
 
 
 def _successor(p: Word, a: int) -> int | None:
@@ -433,9 +437,10 @@ def is_slope_admissible(p: Sequence[int], a: int) -> bool:
     sufficient-and-exhaustive structural cases on the runs of p.
     """
     p = tuple(p)
-    if a not in slope_set(p):
+    rr = _lex_runs(p)
+    if a not in runsorted_slope_set(_joined(rr)):
         raise ValueError("a must lie in the slope set")
-    return _case5_class(p, a, _lex_runs(p)) == 0
+    return _case5_class(p, a, rr) == 0
 
 
 def slope_admissible_by_definition(p: Sequence[int], a: int) -> bool:
@@ -463,15 +468,20 @@ def residual_class(p: Sequence[int], a: int) -> int:
 def residual_census(n: int, a: int) -> dict[int, list[Word]]:
     """
     All permutations of [n] falling in each residual class for the anchor
-    a in 1..n (relative to inserting n+1).
+    a in 1..n (relative to inserting n+1), in lexicographic order.
+
+    Every residual class needs a < k < (the letter after k) with k the
+    letter after a in p, so the runs of p are read only when that holds.
     """
     if not 1 <= a <= n:
         raise ValueError(f"anchor must lie in 1..{n}")
     out: dict[int, list[Word]] = {1: [], 2: [], 3: [], 4: [], 5: []}
     for p in enumerate_sn(n):
-        cls = _case5_class(p, a, _lex_runs(p))
-        if cls:
-            out[cls].append(p)
+        i = p.index(a)
+        if i + 2 < n and a < p[i + 1] < p[i + 2]:
+            cls = _case5_class(p, a, _lex_runs(p))
+            if cls:
+                out[cls].append(p)
     return out
 
 
@@ -536,8 +546,13 @@ def lex_peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     """
     p = tuple(p)
     rr = _lex_runs(p)
-    w = _joined(rr)
-    case, k = _insert_case(a, p, (w, peak_values(w)))
+    return _lex_insert(a, p, rr, _sorted_view(rr))
+
+
+def _lex_insert(a: Anchor, p: Word, rr: LexRuns, view: CaseView) -> tuple[Word, int]:
+    """``lex_peak_insert`` on the caller's ``rr = _lex_runs(p)`` and
+    ``view = _sorted_view(rr)``."""
+    case, k = _insert_case(a, p, view)
     if case == 4 and not _peak_admissible(k, rr):
         p = swap_tail(a, p)
     elif case == 5:
@@ -611,17 +626,18 @@ def _pairing_key(a: Anchor, p: Word, view: CaseView) -> tuple:
     return (case,) if k is None else (case, k)
 
 
-def _anchor_matching(sig: Word, img: Word) -> dict[Anchor, Anchor]:
+def _anchor_matching(sig: Word, img: Word, img_view: CaseView) -> dict[Anchor, Anchor]:
     """
     Match the insertion labels of sig (plain insertion) with those of its
-    image img (lex insertion): bucket both by ``_pairing_key`` and pair
-    them inside each bucket by increasing anchor, which makes the matching
-    deterministic.  Buckets of unequal size would mean the invariants are
-    broken, and raise immediately.
+    image img (lex insertion, read on ``img_view``, its sorted view):
+    bucket both by ``_pairing_key`` and pair them inside each bucket by
+    increasing anchor, which makes the matching deterministic.  Buckets of
+    unequal size would mean the invariants are broken, and raise
+    immediately.
     """
     left: dict[tuple, list[Anchor]] = {}
     right: dict[tuple, list[Anchor]] = {}
-    sig_view, img_view = _case_view("peaks", sig), _case_view("sorted", img)
+    sig_view = _case_view("peaks", sig)
     for a in anchor_labels(len(sig) + 1):
         left.setdefault(_pairing_key(a, sig, sig_view), []).append(a)
         right.setdefault(_pairing_key(a, img, img_view), []).append(a)
@@ -633,10 +649,15 @@ def _anchor_matching(sig: Word, img: Word) -> dict[Anchor, Anchor]:
     return {a: a2 for key, lhs in left.items() for a, a2 in zip(lhs, right[key])}
 
 
-def _eta(sigma: Word, memo: dict[Word, tuple[Word, dict[Anchor, Anchor]]]) -> Word:
+TransportMemo = dict[Word, tuple[Word, dict[Anchor, Anchor], LexRuns, CaseView]]
+
+
+def _eta(sigma: Word, memo: TransportMemo) -> Word:
     """
     ``eta`` without the input check; ``memo`` maps every parent met so far
-    to its image and its anchor matching, and may be shared across calls.
+    to its image, its anchor matching, and the image's ``_lex_runs`` and
+    sorted view, so that each image's runs are sorted once for all its
+    children.  The memo may be shared across calls.
     """
     anchors: list[Anchor] = []
     parent = sigma
@@ -646,8 +667,11 @@ def _eta(sigma: Word, memo: dict[Word, tuple[Word, dict[Anchor, Anchor]]]) -> Wo
     image = memo[parent][0] if parent in memo else parent
     for a in reversed(anchors):
         if parent not in memo:
-            memo[parent] = image, _anchor_matching(parent, image)
-        image = lex_peak_insert(memo[parent][1][a], image)[0]
+            rr = _lex_runs(image)
+            view = _sorted_view(rr)
+            memo[parent] = image, _anchor_matching(parent, image, view), rr, view
+        _, matching, rr, view = memo[parent]
+        image = _lex_insert(matching[a], image, rr, view)[0]
         parent = insert_after(a, parent)
     return image
 
@@ -680,7 +704,7 @@ def build_peak_transport(n: int) -> dict[Word, Word]:
     if n > TRANSPORT_CAP:
         raise CapExceeded(f"refusing to enumerate S_{n}: cap is {TRANSPORT_CAP} "
                           "(this route holds n! objects in memory)")
-    memo: dict[Word, tuple[Word, dict[Anchor, Anchor]]] = {}
+    memo: TransportMemo = {}
     return {sig: _eta(sig, memo) for sig in enumerate_sn(n)}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial
 
@@ -162,19 +163,26 @@ def _suite_eta(args) -> dict:
 
 def _suite_interlacing(args) -> dict:
     n_max = 25 if args.max_n is None else args.max_n
-    rep = rr.verify_interlacing_family(args.family or "R", n_max)
+    rep = rr.verify_interlacing_family("R" if args.family is None else args.family, n_max)
     rep["suite"] = "interlacing"
     rep["n_failures"] = len(rep["failures"])
     return rep
 
 
 def _suite_same_phase(args) -> dict:
-    family = args.family or "Q"
+    family = "Q" if args.family is None else args.family
     n_max = 8 if args.max_n is None else args.max_n
     samples = args.samples
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     # one shard per worker over consecutive sample ranges; at least one
-    # shard, so that a scan of zero samples still reports
-    workers = max(1, args.parallel)
+    # shard, so that a scan of zero samples still reports, and no more
+    # workers than usable CPUs
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(args.parallel, cpus))
     chunk = max(1, (samples + workers - 1) // workers)
     jobs = [
         (family, n_max, min(chunk, samples - start), args.seed, start)
@@ -243,7 +251,9 @@ def _suite_binary(args) -> dict:
 
 def _suite_mip(args) -> dict:
     bad = []
-    if args.a is not None and args.b is not None:
+    if (args.a is None) != (args.b is None):
+        raise ValueError("--a and --b go together: give both for one cell, or neither")
+    if args.a is not None:
         pairs = [(args.a, args.b)]
         top = args.a + args.b
     else:

@@ -177,16 +177,21 @@ def slope_set(perm: Sequence[int]) -> set[int]:
 
     Concretely: writing w = runsort(perm), a qualifies iff a is not the
     last letter of its run of w, and, when that run is not the last run
-    of w, a is not the second-to-last letter either.  One pass over w
-    reads this off: keep w[j] when w[j] < w[j+1] and either w[j+1] ends
-    w or w[j+1] < w[j+2].
+    of w, a is not the second-to-last letter either.
 
     >>> sorted(slope_set((2, 5, 6, 1, 7, 3, 4)))
     [2, 3]
     >>> sorted(slope_set((4, 3, 1, 2, 6, 5, 7)))
     [1, 3, 4, 5]
     """
-    w = runsort(perm)
+    return runsorted_slope_set(runsort(perm))
+
+
+def runsorted_slope_set(w: Sequence[int]) -> set[int]:
+    """
+    ``slope_set`` read off a run-sorted word w in one pass: keep w[j] when
+    w[j] < w[j+1] and either w[j+1] ends w or w[j+1] < w[j+2].
+    """
     n = len(w)
     return {
         w[j]

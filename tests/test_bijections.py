@@ -353,6 +353,20 @@ def test_residual_census_json():
     assert sorted(census[2]) == [P("7134526"), P("7261345")]
 
 
+def test_residual_census_matches_unfiltered_scan():
+    # the census reads runs only where a < k < (letter after k); the oracle
+    # classifies every permutation, in enumerate_sn order
+    for m in range(1, 8):
+        for a in range(1, m + 1):
+            want: dict[int, list] = {1: [], 2: [], 3: [], 4: [], 5: []}
+            for p in perms.enumerate_sn(m):
+                try:
+                    want[bj.residual_class(p, a)].append(p)
+                except ValueError:
+                    pass
+            assert bj.residual_census(m, a) == want, (m, a)
+
+
 def test_residual_census_refuses_anchor_outside_range():
     for a in (0, 9):
         with pytest.raises(ValueError):

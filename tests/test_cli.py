@@ -122,6 +122,23 @@ def test_verify_zero_flags_are_values(capsys):
     assert code == 0 and json.loads(out)["reports"]["runsorted"]["order"] == 0
 
 
+def test_verify_mip_refuses_a_without_b(capsys):
+    for flags in (("--a", "4"), ("--b", "3")):
+        code, out, err = run(capsys, "verify", "mip", *flags)
+        assert code == 2 and out == "" and "--a and --b" in err
+
+
+def test_verify_same_phase_refuses_negative_samples(capsys):
+    code, out, err = run(capsys, "verify", "same-phase", "--samples", "-1", "--max-n", "4")
+    assert code == 2 and out == "" and "samples must be non-negative" in err
+
+
+def test_verify_empty_family_refused(capsys):
+    for suite in ("interlacing", "same-phase"):
+        code, out, err = run(capsys, "verify", suite, "--family", "")
+        assert code == 2 and out == "" and "unknown family ''" in err
+
+
 def test_verify_binary(capsys):
     code, out, _ = run(capsys, "verify", "binary", "--max-n", "7")
     assert code == 0
@@ -149,6 +166,37 @@ def test_verify_same_phase_parallel_matches_serial(capsys):
     assert code1 == code2 == 0
     assert serial == parallel
     assert json.loads(serial)["first_sample"] == 0
+
+
+def test_verify_same_phase_parallel_clamped_to_cpus(capsys, monkeypatch):
+    # a recorder stands in for the pool, so no process is started
+    import itertools
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            return list(itertools.starmap(fn, jobs))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    argv = ("verify", "same-phase", "--family", "Q", "--max-n", "4",
+            "--samples", "6", "--seed", "5", "--format", "json")
+    code1, serial, _ = run(capsys, *argv)
+    code2, clamped, _ = run(capsys, *argv, "--parallel", "5000")
+    assert sizes == [3]
+    assert code1 == code2 == 0 and serial == clamped
 
 
 def test_verify_failure_counts_untruncated(capsys, monkeypatch):

@@ -62,6 +62,11 @@ def test_eta_matches_table_up_to_7():
     for n in range(1, 8):
         table = bj.build_peak_transport(n)
         assert all(bj.eta(sig) == img for sig, img in table.items())
+    table = bj.build_peak_transport(8)
+    rng = SplitMix64.seed_from(2021, 8)
+    for _ in range(2000):
+        sig = fisher_yates(8, rng)
+        assert bj.eta(sig) == table[sig], sig
 
 
 def test_table_n8_pinned():
