@@ -339,6 +339,13 @@ def swap_tail(a: int, p: Sequence[int]) -> Word:
         raise ValueError("swap_tail: letter after a must be a sorted peak value")
     if _peak_admissible(k, rr):
         raise ValueError("swap_tail: pair is peak admissible, nothing to fix")
+    return _swap_tail(p, k, rr)
+
+
+def _swap_tail(p: Word, k: int, rr: LexRuns) -> Word:
+    """``swap_tail`` on the caller's ``rr = _lex_runs(p)``, for the letter
+    k after a once k is known to be a sorted peak value of a pair that is
+    not peak admissible."""
     straddle = [(w, s, e) for w, s, e in rr if w[0] < k < w[-1]]
     word, s, e = max(straddle, key=lambda t: t[0][0])
     cut = s
@@ -357,12 +364,16 @@ def swap_tail_inverse(a: int, p: Sequence[int]) -> Word | None:
     """
     p = tuple(p)
     i = p.index(a)
-    if i + 1 >= len(p):
+    if i + 1 >= len(p) or p[i + 1] < a:
         return None
+    return _swap_tail_inverse(a, p, _lex_runs(p))
+
+
+def _swap_tail_inverse(a: int, p: Word, rr: LexRuns) -> Word | None:
+    """``swap_tail_inverse`` on the caller's ``rr = _lex_runs(p)``, for a
+    followed in p by a larger letter."""
+    i = p.index(a)
     k = p[i + 1]
-    if k < a:
-        return None
-    rr = _lex_runs(p)
     a_run = next((w, s, e) for w, s, e in rr if s <= i < e)
     _, s, e = a_run
     if i + 2 >= e:
@@ -497,6 +508,12 @@ def flip_tails(a: int, p: Sequence[int]) -> Word:
     rr = _lex_runs(p)
     if not _case5_class(p, a, rr):
         raise ValueError(f"{a} is not a residual anchor for {p}")
+    return _flip_tails(a, p, rr)
+
+
+def _flip_tails(a: int, p: Word, rr: LexRuns) -> Word:
+    """``flip_tails`` on the caller's ``rr = _lex_runs(p)``, for a residual
+    anchor a."""
     occ = runs_positions(p)
     i = p.index(a)
     k = p[i + 1]
@@ -554,13 +571,13 @@ def _lex_insert(a: Anchor, p: Word, rr: LexRuns, view: CaseView) -> tuple[Word, 
     ``view = _sorted_view(rr)``."""
     case, k = _insert_case(a, p, view)
     if case == 4 and not _peak_admissible(k, rr):
-        p = swap_tail(a, p)
+        p = _swap_tail(p, k, rr)
     elif case == 5:
         cls = _case5_class(p, a, rr)
         if cls is None:
-            p = swap_tail_inverse(a, p)
+            p = _swap_tail_inverse(a, p, rr)
         elif cls:
-            p = flip_tails(a, p)
+            p = _flip_tails(a, p, rr)
     return insert_after(a, p), case
 
 

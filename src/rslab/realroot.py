@@ -74,20 +74,28 @@ def count_real_roots(p: Poly, lo: Endpoint = NEG_INF, hi: Endpoint = POS_INF) ->
         raise ValueError(f"reversed interval ({lo}, {hi}]")
     if p.degree == 0:
         return 0
-    chain = sturm_chain(p, p.derivative())
+    return _count_on(sturm_chain(p, p.derivative()), lo, hi)
+
+
+def _count_on(chain: Sequence[Poly], lo: Endpoint, hi: Endpoint) -> int:
+    """``count_real_roots`` of chain[0] on (lo, hi], read off its built
+    chain ``sturm_chain(p, p')``; the caller has checked lo <= hi."""
     at_lo, sign_lo = _variations(chain, lo)
     if sign_lo == 0:
-        raise ValueError(f"lower endpoint {lo} is a root of {p.human()}")
+        raise ValueError(f"lower endpoint {lo} is a root of {chain[0].human()}")
     return at_lo - _variations(chain, hi)[0]
 
 
 def is_real_rooted(p: Poly) -> bool:
-    """True iff the square-free part has as many distinct real roots as
-    its degree."""
+    """True iff p has as many distinct real roots as its square-free part
+    has degree, both read off the one chain (p, p'): its last member is
+    gcd(p, p') up to a constant factor."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    q = p.square_free()
-    return count_real_roots(q) == q.degree
+    if p.degree == 0:
+        return True
+    chain = sturm_chain(p, p.derivative())
+    return _count_on(chain, NEG_INF, POS_INF) == p.degree - chain[-1].degree
 
 
 def root_bound(p: Poly) -> Fraction:
@@ -118,14 +126,15 @@ class RootIsolation:
     roots: list[IsolatedRoot] = field(default_factory=list)  # ascending
 
 
-def _bisect_once(q: Poly, r: IsolatedRoot) -> IsolatedRoot:
-    """Halve an isolating interval (possibly collapsing to an exact point)."""
+def _bisect_once(chain: Sequence[Poly], r: IsolatedRoot) -> IsolatedRoot:
+    """Halve an isolating interval (possibly collapsing to an exact point)
+    of the square-free q = chain[0], counting on its built chain."""
     if r.kind == "point":
         return r
     mid = (r.lo + r.hi) / 2
-    if q(mid) == 0:
+    if chain[0](mid) == 0:
         return IsolatedRoot("point", mid, mid, r.multiplicity)
-    if count_real_roots(q, r.lo, mid) == 1:
+    if _count_on(chain, r.lo, mid) == 1:
         return IsolatedRoot("interval", r.lo, mid, r.multiplicity)
     return IsolatedRoot("interval", mid, r.hi, r.multiplicity)
 
@@ -134,11 +143,22 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
     """
     Disjoint isolating intervals (or exact points) for the distinct real
     roots of p, each labelled with its multiplicity; optionally refined
-    until intervals are narrower than ``width``.
+    until intervals are narrower than ``width``, which must be positive.
+
+    One Sturm chain is built for the square-free part and one for each
+    multiplicity layer; every count reads those chains.
     """
-    q = p.square_free()
+    if width is not None and width <= 0:
+        raise ValueError("width must be positive")
+    if p.is_zero():
+        raise ValueError("zero polynomial has no root count")
+    if p.degree == 0:
+        return RootIsolation(poly=p, square_free=p.monic())
+    g = p.gcd(p.derivative())
+    q = p.exact_div(g).monic()
     out = RootIsolation(poly=p, square_free=q)
-    total = count_real_roots(q)
+    chain = sturm_chain(q, q.derivative())
+    total = _count_on(chain, NEG_INF, POS_INF)
     if total == 0:
         return out
     bound = root_bound(q)
@@ -159,33 +179,27 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
         while q(mid) == 0:
             mid = mid + step
             step = step / 2
-        left = count_real_roots(q, a, mid)
+        left = _count_on(chain, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, cnt - left))
-    # multiplicities through the repeated-gcd chain
-    layers = [p.monic()]
-    while layers[-1].degree > 0:
-        nxt = layers[-1].gcd(layers[-1].derivative())
-        if nxt.degree == 0:
-            break
-        layers.append(nxt)
+    # multiplicities through the repeated-gcd layers g = gcd(p, p'),
+    # gcd(g, g'), ...: each layer's chain ends in the next layer
+    layer_chains = []
+    layer = g
+    while layer.degree > 0:
+        layer_chains.append(sturm_chain(layer, layer.derivative()))
+        layer = layer_chains[-1][-1].monic()
     for r in found:
-        mult = 1
-        for layer in layers[1:]:
-            if r.kind == "point":
-                inside = layer(r.lo) == 0
-            else:
-                inside = count_real_roots(layer, r.lo, r.hi) >= 1
-            if inside:
-                mult += 1
-            else:
+        r.multiplicity = 1
+        for layer_chain in layer_chains:
+            if _count_on(layer_chain, r.lo, r.hi) == 0:
                 break
-        r.multiplicity = mult
+            r.multiplicity += 1
     found.sort(key=lambda r: (r.lo, r.hi))
     if width is not None:
         for i, r in enumerate(found):
             while r.kind == "interval" and r.hi - r.lo > width:
-                r = _bisect_once(q, r)
+                r = _bisect_once(chain, r)
             found[i] = r
     out.roots = found
     return out
@@ -242,15 +256,26 @@ def interlaces(f: Poly, g: Poly) -> InterlaceReport:
     witness is for readers only: the roots of f and g with multiplicity,
     largest first, as float approximations.
     """
-    for name, p in (("f", f), ("g", g)):
-        if p.is_zero():
-            raise ValueError(f"{name} is the zero polynomial")
-        if p.coeffs[-1] <= 0:
-            raise ValueError(f"{name} must have a positive leading coefficient")
-        if not is_real_rooted(p):
-            raise ValueError(f"{name} is not real-rooted (is_real_rooted failed)")
-        if _positive_root_count(p) > 0:
-            raise ValueError(f"{name} has a root above 0")
+    _check_interlace_input("f", f)
+    _check_interlace_input("g", g)
+    return _interlaces(f, g)
+
+
+def _check_interlace_input(name: str, p: Poly) -> None:
+    """The input checks of ``interlaces`` on one argument, named ``name``
+    in the error text."""
+    if p.is_zero():
+        raise ValueError(f"{name} is the zero polynomial")
+    if p.coeffs[-1] <= 0:
+        raise ValueError(f"{name} must have a positive leading coefficient")
+    if not is_real_rooted(p):
+        raise ValueError(f"{name} is not real-rooted (is_real_rooted failed)")
+    if _positive_root_count(p) > 0:
+        raise ValueError(f"{name} has a root above 0")
+
+
+def _interlaces(f: Poly, g: Poly) -> InterlaceReport:
+    """``interlaces`` on inputs that have passed its checks."""
     if abs(f.degree - g.degree) > 1:
         return InterlaceReport(f, g, False, "degrees differ by more than one")
 
@@ -289,9 +314,15 @@ def verify_interlacing_family(family: str, n_max: int = 25) -> dict:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(makers)}")
     make = makers[family]
     failures = []
+    # each member is checked once: make(1) as interlaces' f, every later
+    # member as its g, in the order interlaces itself would first refuse
+    if n_max >= 2:
+        g = make(1)
+        _check_interlace_input("f", g)
     for n in range(2, n_max + 1):
-        f, g = make(n - 1), make(n)
-        rep = interlaces(f, g)
+        f, g = g, make(n)
+        _check_interlace_input("g", g)
+        rep = _interlaces(f, g)
         if not rep.verdict:
             failures.append({"n": n, "report": rep.to_json()})
     return {

@@ -1,0 +1,190 @@
+"""
+Chain reuse in the real-root layer: isolation and real-rootedness read
+one Sturm chain per polynomial, and must agree exactly with the route
+that rebuilds the chain for every count.
+"""
+from fractions import Fraction
+
+import pytest
+
+from rslab import realroot as rr
+from rslab.polynomials import (
+    Poly,
+    eulerian_poly,
+    peak_poly,
+    run_count_poly,
+    runsorted_descent_poly,
+)
+from rslab.prng import SplitMix64
+
+
+def poly_from_roots(roots, lead=1):
+    out = Poly.const(lead)
+    for r in roots:
+        out = out * Poly([-r, 1])
+    return out
+
+
+def isolate_by_recount(p, width=None):
+    """Isolation with a fresh ``count_real_roots`` (and so a fresh chain)
+    for every count: the bisection, each root's multiplicity layers and
+    each width refinement step.  Returns (square-free part, roots as
+    (kind, lo, hi, multiplicity) tuples in ascending order)."""
+    q = p.square_free()
+    total = rr.count_real_roots(q)
+    if total == 0:
+        return q, []
+    bound = rr.root_bound(q)
+    stack = [(-bound - 1, bound, total)]
+    found = []
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            found.append(["interval", a, b, 1])
+            continue
+        mid = (a + b) / 2
+        step = (b - a) / 4
+        while q(mid) == 0:
+            mid = mid + step
+            step = step / 2
+        left = rr.count_real_roots(q, a, mid)
+        stack.append((a, mid, left))
+        stack.append((mid, b, cnt - left))
+    layers = []
+    layer = p.monic()
+    while (layer := layer.gcd(layer.derivative())).degree > 0:
+        layers.append(layer)
+    for r in found:
+        for layer in layers:
+            if rr.count_real_roots(layer, r[1], r[2]) == 0:
+                break
+            r[3] += 1
+    found.sort(key=lambda r: (r[1], r[2]))
+    if width is not None:
+        for r in found:
+            while r[0] == "interval" and r[2] - r[1] > width:
+                mid = (r[1] + r[2]) / 2
+                if q(mid) == 0:
+                    r[0], r[1], r[2] = "point", mid, mid
+                elif rr.count_real_roots(q, r[1], mid) == 1:
+                    r[2] = mid
+                else:
+                    r[1] = mid
+    return q, [tuple(r) for r in found]
+
+
+def real_rooted_by_square_free(p):
+    q = p.square_free()
+    return rr.count_real_roots(q) == q.degree
+
+
+def family_members():
+    for make, top in ((run_count_poly, 10), (runsorted_descent_poly, 10),
+                      (peak_poly, 10), (eulerian_poly, 9)):
+        for n in range(1, top + 1):
+            yield make(n)
+
+
+def random_products(seed, count):
+    """Products over a small pool of non-positive rationals (half the time
+    holding 0), so that roots repeat; times an irreducible quadratic on
+    every fourth draw."""
+    rng = SplitMix64.seed_from(seed)
+    for i in range(count):
+        pool = [Fraction(-rng.below(30), 1 + rng.below(6)) for _ in range(1 + rng.below(4))]
+        if rng.below(2):
+            pool.append(Fraction(0))
+        roots = [pool[rng.below(len(pool))] for _ in range(1 + rng.below(7))]
+        p = poly_from_roots(roots, lead=1 + rng.below(3))
+        if i % 4 == 3:
+            p = p * Poly([-2, 0, 1])
+        yield p
+
+
+def as_tuples(iso):
+    return [(r.kind, r.lo, r.hi, r.multiplicity) for r in iso.roots]
+
+
+def test_isolation_matches_recount_oracle():
+    inputs = list(family_members()) + list(random_products(6001, 80))
+    for p in inputs:
+        for width in (None, Fraction(1, 1000)):
+            q, want = isolate_by_recount(p, width)
+            iso = rr.isolate_real_roots(p, width)
+            assert iso.square_free == q
+            assert as_tuples(iso) == want, (p.human(), width)
+
+
+def test_real_rooted_matches_square_free_route():
+    rng = SplitMix64.seed_from(6002)
+    verdicts = {True: 0, False: 0}
+    for p in list(family_members()) + list(random_products(6003, 150)):
+        assert rr.is_real_rooted(p) == real_rooted_by_square_free(p)
+        # a constant shift moves the roots, often off the real line
+        shifted = p + Fraction(rng.below(9) - 4, 1 + rng.below(5))
+        if shifted.is_zero():
+            continue
+        got = rr.is_real_rooted(shifted)
+        assert got == real_rooted_by_square_free(shifted), shifted.human()
+        verdicts[got] += 1
+    assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
+
+
+def test_isolation_builds_one_chain_per_counted_polynomial(monkeypatch):
+    built = []
+    sturm_chain = rr.sturm_chain
+
+    def recording(p, q):
+        built.append(p)
+        return sturm_chain(p, q)
+
+    monkeypatch.setattr(rr, "sturm_chain", recording)
+    # roots +-sqrt(2) (multiplicity 3), +-sqrt(3), -1 (twice) and 0
+    p = Poly([-2, 0, 1]) ** 3 * Poly([-3, 0, 1]) * Poly([1, 1]) ** 2 * Poly.t()
+    iso = rr.isolate_real_roots(p, width=Fraction(1, 10**6))
+    assert sum(r.kind == "interval" for r in iso.roots) >= 4  # 20+ steps each
+    assert sorted(r.multiplicity for r in iso.roots) == [1, 1, 1, 2, 3, 3]
+    # q, then the layers gcd(p, p') and (t^2 - 2)
+    assert built == [iso.square_free, p.gcd(p.derivative()), Poly([-2, 0, 1]).monic()]
+
+
+def test_real_rooted_builds_one_chain(monkeypatch):
+    built = []
+    sturm_chain = rr.sturm_chain
+    monkeypatch.setattr(rr, "sturm_chain", lambda p, q: built.append(p) or sturm_chain(p, q))
+    p = Poly([1, 1]) ** 3 * Poly([2, 1])
+    assert rr.is_real_rooted(p)
+    assert built == [p]
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 3), 0, -1])
+def test_isolation_refuses_nonpositive_width(width):
+    with pytest.raises(ValueError, match="width must be positive"):
+        rr.isolate_real_roots(Poly([-2, 0, 1]), width=width)
+
+
+def test_family_members_checked_once(monkeypatch):
+    checked = []
+    is_real_rooted = rr.is_real_rooted
+    monkeypatch.setattr(rr, "is_real_rooted", lambda p: checked.append(p) or is_real_rooted(p))
+    assert rr.verify_interlacing_family("R", 9)["verdict"]
+    assert checked == [run_count_poly(n) for n in range(1, 10)]
+
+
+@pytest.mark.parametrize("bad_n, name", [(1, "f"), (2, "g"), (5, "g")])
+def test_family_refusal_names_the_first_bad_member(monkeypatch, bad_n, name):
+    from rslab import polynomials
+
+    def make(n):
+        return Poly([1, 0, 1]) if n == bad_n else run_count_poly(n)
+
+    monkeypatch.setattr(polynomials, "run_count_poly", make)
+    # the text interlaces gives on the pair that first holds the bad member
+    with pytest.raises(ValueError, match=f"^{name} is not real-rooted"):
+        rr.interlaces(make(max(bad_n - 1, 1)), make(max(bad_n, 2)))
+    with pytest.raises(ValueError, match=f"^{name} is not real-rooted"):
+        rr.verify_interlacing_family("R", 6)
+    # members past n_max are never built or checked
+    assert rr.verify_interlacing_family("R", bad_n - 1)["verdict"]
