@@ -366,12 +366,25 @@ def swap_tail_inverse(a: int, p: Sequence[int]) -> Word | None:
     i = p.index(a)
     if i + 1 >= len(p) or p[i + 1] < a:
         return None
-    return _swap_tail_inverse(a, p, _lex_runs(p))
+    sigma = _swap_tail_inverse(a, p, _lex_runs(p))
+    if sigma is None:
+        return None
+    try:
+        # swap_tail raises unless k is a sorted peak of sigma and the pair
+        # is not peak admissible
+        if sigma[sigma.index(a) + 1] == p[i + 1] and swap_tail(a, sigma) == p:
+            return sigma
+    except (IndexError, ValueError):
+        return None
+    return None
 
 
 def _swap_tail_inverse(a: int, p: Word, rr: LexRuns) -> Word | None:
-    """``swap_tail_inverse`` on the caller's ``rr = _lex_runs(p)``, for a
-    followed in p by a larger letter."""
+    """The one candidate preimage of p under ``swap_tail``, on the caller's
+    ``rr = _lex_runs(p)``, for a followed in p by a larger letter, or None
+    when there is none.  It is the preimage whenever p is in the swap image
+    for a (the case-5 verdict None); otherwise ``swap_tail_inverse``
+    confirms it."""
     i = p.index(a)
     k = p[i + 1]
     a_run = next((w, s, e) for w, s, e in rr if s <= i < e)
@@ -387,15 +400,7 @@ def _swap_tail_inverse(a: int, p: Word, rr: LexRuns) -> Word | None:
         return None
     rest = list(p[: i + 2]) + list(p[e:])
     pos = rest.index(g1[0][-1])
-    sigma = tuple(rest[: pos + 1] + upper + rest[pos + 1 :])
-    try:
-        # swap_tail raises unless k is a sorted peak of sigma and the pair
-        # is not peak admissible
-        if sigma[sigma.index(a) + 1] == k and swap_tail(a, sigma) == p:
-            return sigma
-    except (IndexError, ValueError):
-        return None
-    return None
+    return tuple(rest[: pos + 1] + upper + rest[pos + 1 :])
 
 
 def in_swap_image(p: Sequence[int], a: int) -> bool:

@@ -5,9 +5,10 @@ verdicts, and the sampled same-phase stability harness.
 No floating point enters any verdict; floats appear only as human-readable
 annotations inside reports.  Roots are isolated as exact rationals or as
 open-closed rational intervals containing exactly one root, bisected on
-request down to a given width.  Interlacing is decided without isolating
-any root: once the gcd (the shared roots) is divided out, one signed
-remainder sequence read at -inf and +inf gives a Cauchy index.
+request down to a given width; within one isolation each Sturm chain is
+evaluated at most once at each point.  Interlacing is decided without
+isolating any root: one signed remainder sequence of the two polynomials,
+read at -inf and +inf, gives a Cauchy index.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def sturm_chain(p: Poly, q: Poly) -> list[Poly]:
 def _sign_at(p: Poly, x: Endpoint) -> int:
     if p.is_zero():
         return 0
-    if x == POS_INF:
+    if p.degree == 0 or x == POS_INF:
         lead = p.coeffs[-1]
         return 1 if lead > 0 else -1
     if x == NEG_INF:
@@ -62,28 +63,57 @@ def _endpoint_key(x: Endpoint) -> tuple:
     return (-1, 0) if x == NEG_INF else (1, 0) if x == POS_INF else (0, x)
 
 
+def _check_exact(what: str, x) -> None:
+    """Refuse a float (or any other inexact value) where a verdict needs
+    exact arithmetic."""
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{what} {x!r} is not an int or a Fraction")
+
+
 def count_real_roots(p: Poly, lo: Endpoint = NEG_INF, hi: Endpoint = POS_INF) -> int:
     """
     Number of distinct real roots of p in the half-open interval (lo, hi],
     by Sturm's theorem (multiple roots counted once).  Raises ValueError
-    when hi < lo or when lo is a root of p.
+    when an endpoint is neither -inf, +inf, an int nor a Fraction, when
+    hi < lo, or when lo is a root of p.
     """
+    for x in (lo, hi):
+        if x not in (NEG_INF, POS_INF):
+            _check_exact("endpoint", x)
     if p.is_zero():
         raise ValueError("zero polynomial has no root count")
     if _endpoint_key(hi) < _endpoint_key(lo):
         raise ValueError(f"reversed interval ({lo}, {hi}]")
     if p.degree == 0:
         return 0
-    return _count_on(sturm_chain(p, p.derivative()), lo, hi)
+    return _ChainCounts(sturm_chain(p, p.derivative())).count(lo, hi)
 
 
-def _count_on(chain: Sequence[Poly], lo: Endpoint, hi: Endpoint) -> int:
-    """``count_real_roots`` of chain[0] on (lo, hi], read off its built
-    chain ``sturm_chain(p, p')``; the caller has checked lo <= hi."""
-    at_lo, sign_lo = _variations(chain, lo)
-    if sign_lo == 0:
-        raise ValueError(f"lower endpoint {lo} is a root of {chain[0].human()}")
-    return at_lo - _variations(chain, hi)[0]
+class _ChainCounts:
+    """
+    Root counts of chain[0] read off its built chain ``sturm_chain(p, p')``.
+    The chain is evaluated at most once at each point: the sign variations
+    there and the sign of chain[0] are kept for the life of this object.
+    """
+
+    def __init__(self, chain: Sequence[Poly]):
+        self.chain = chain
+        self._seen: dict[Endpoint, tuple[int, int]] = {}
+
+    def at(self, x: Endpoint) -> tuple[int, int]:
+        """Sign variations of the chain at x, and the sign of chain[0] there."""
+        seen = self._seen.get(x)
+        if seen is None:
+            seen = self._seen[x] = _variations(self.chain, x)
+        return seen
+
+    def count(self, lo: Endpoint, hi: Endpoint) -> int:
+        """``count_real_roots`` of chain[0] on (lo, hi]; the caller has
+        checked lo <= hi."""
+        at_lo, sign_lo = self.at(lo)
+        if sign_lo == 0:
+            raise ValueError(f"lower endpoint {lo} is a root of {self.chain[0].human()}")
+        return at_lo - self.at(hi)[0]
 
 
 def is_real_rooted(p: Poly) -> bool:
@@ -95,7 +125,7 @@ def is_real_rooted(p: Poly) -> bool:
     if p.degree == 0:
         return True
     chain = sturm_chain(p, p.derivative())
-    return _count_on(chain, NEG_INF, POS_INF) == p.degree - chain[-1].degree
+    return _ChainCounts(chain).count(NEG_INF, POS_INF) == p.degree - chain[-1].degree
 
 
 def root_bound(p: Poly) -> Fraction:
@@ -126,15 +156,15 @@ class RootIsolation:
     roots: list[IsolatedRoot] = field(default_factory=list)  # ascending
 
 
-def _bisect_once(chain: Sequence[Poly], r: IsolatedRoot) -> IsolatedRoot:
+def _bisect_once(counts: _ChainCounts, r: IsolatedRoot) -> IsolatedRoot:
     """Halve an isolating interval (possibly collapsing to an exact point)
-    of the square-free q = chain[0], counting on its built chain."""
+    of the square-free q, counting on ``counts`` of its chain."""
     if r.kind == "point":
         return r
     mid = (r.lo + r.hi) / 2
-    if chain[0](mid) == 0:
+    if counts.at(mid)[1] == 0:
         return IsolatedRoot("point", mid, mid, r.multiplicity)
-    if _count_on(chain, r.lo, mid) == 1:
+    if counts.count(r.lo, mid) == 1:
         return IsolatedRoot("interval", r.lo, mid, r.multiplicity)
     return IsolatedRoot("interval", mid, r.hi, r.multiplicity)
 
@@ -146,7 +176,9 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
     until intervals are narrower than ``width``, which must be positive.
 
     One Sturm chain is built for the square-free part and one for each
-    multiplicity layer; every count reads those chains.
+    multiplicity layer.  Every count reads those chains, and each chain
+    is evaluated at most once at each point: the bisection, the
+    multiplicity counts and the width refinement share its values.
     """
     if width is not None and width <= 0:
         raise ValueError("width must be positive")
@@ -157,8 +189,8 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
     g = p.gcd(p.derivative())
     q = p.exact_div(g).monic()
     out = RootIsolation(poly=p, square_free=q)
-    chain = sturm_chain(q, q.derivative())
-    total = _count_on(chain, NEG_INF, POS_INF)
+    counts = _ChainCounts(sturm_chain(q, q.derivative()))
+    total = counts.count(NEG_INF, POS_INF)
     if total == 0:
         return out
     bound = root_bound(q)
@@ -176,30 +208,31 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
         # we ever count over has non-root endpoints
         mid = (a + b) / 2
         step = (b - a) / 4
-        while q(mid) == 0:
+        while counts.at(mid)[1] == 0:
             mid = mid + step
             step = step / 2
-        left = _count_on(chain, a, mid)
+        left = counts.count(a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, cnt - left))
     # multiplicities through the repeated-gcd layers g = gcd(p, p'),
     # gcd(g, g'), ...: each layer's chain ends in the next layer
-    layer_chains = []
+    layers = []
     layer = g
     while layer.degree > 0:
-        layer_chains.append(sturm_chain(layer, layer.derivative()))
-        layer = layer_chains[-1][-1].monic()
+        chain = sturm_chain(layer, layer.derivative())
+        layers.append(_ChainCounts(chain))
+        layer = chain[-1].monic()
     for r in found:
         r.multiplicity = 1
-        for layer_chain in layer_chains:
-            if _count_on(layer_chain, r.lo, r.hi) == 0:
+        for layer_counts in layers:
+            if layer_counts.count(r.lo, r.hi) == 0:
                 break
             r.multiplicity += 1
     found.sort(key=lambda r: (r.lo, r.hi))
     if width is not None:
         for i, r in enumerate(found):
             while r.kind == "interval" and r.hi - r.lo > width:
-                r = _bisect_once(chain, r)
+                r = _bisect_once(counts, r)
             found[i] = r
     out.roots = found
     return out
@@ -223,17 +256,6 @@ class InterlaceReport:
         }
 
 
-def _positive_root_count(p: Poly) -> int:
-    """Distinct roots in (0, +inf); strips any root at the origin first so
-    the Sturm endpoint is never itself a root."""
-    q = p
-    while q.degree > 0 and q[0] == 0:
-        q = Poly(q.coeffs[1:])
-    if q.degree == 0:
-        return 0
-    return count_real_roots(q, Fraction(0), POS_INF)
-
-
 def interlaces(f: Poly, g: Poly) -> InterlaceReport:
     """
     Weak interlacing verdict: with the roots of f and g listed in
@@ -251,27 +273,40 @@ def interlaces(f: Poly, g: Poly) -> InterlaceReport:
     polynomials ``top`` and ``low`` (top of degree d, low of degree d or
     d - 1, positive leading coefficients) interlace iff the Cauchy index
     of low/top over the whole line is d, that is, iff every residue of
-    low/top is positive at d distinct real poles.  The index is read off
-    ``sturm_chain(top, low)`` at -inf and +inf; no root is isolated.  The
-    witness is for readers only: the roots of f and g with multiplicity,
-    largest first, as float approximations.
+    low/top is positive at d distinct real poles.  No gcd is divided out:
+    h multiplies every member of ``sturm_chain(top, low)``, which ends in
+    a constant multiple of h, so the chain read at -inf and +inf gives the index of
+    (low/h)/(top/h), to be compared with deg top - deg h.  No root is
+    isolated for the verdict.  A root above 0 is ruled out by the sign
+    changes of the coefficients (Descartes' rule, exact once every root is
+    real).  The witness is for readers only: the roots of f and g with
+    multiplicity, largest first, as float approximations.
     """
     _check_interlace_input("f", f)
     _check_interlace_input("g", g)
     return _interlaces(f, g)
 
 
-def _check_interlace_input(name: str, p: Poly) -> None:
+def _check_interlace_input(name: str, p: Poly, real_rooted: bool = False) -> None:
     """The input checks of ``interlaces`` on one argument, named ``name``
-    in the error text."""
+    in the error text; ``real_rooted=True`` skips the real-rootedness
+    check for a nonzero p that has passed it."""
     if p.is_zero():
         raise ValueError(f"{name} is the zero polynomial")
     if p.coeffs[-1] <= 0:
         raise ValueError(f"{name} must have a positive leading coefficient")
-    if not is_real_rooted(p):
+    if not (real_rooted or is_real_rooted(p)):
         raise ValueError(f"{name} is not real-rooted (is_real_rooted failed)")
-    if _positive_root_count(p) > 0:
+    if _has_positive_root(p):
         raise ValueError(f"{name} has a root above 0")
+
+
+def _has_positive_root(p: Poly) -> bool:
+    """Whether a real-rooted p has a root above 0: by Descartes' rule of
+    signs, exact when every root is real, iff its nonzero coefficients
+    change sign."""
+    signs = [c > 0 for c in p.coeffs if c != 0]
+    return any(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _interlaces(f: Poly, g: Poly) -> InterlaceReport:
@@ -279,11 +314,10 @@ def _interlaces(f: Poly, g: Poly) -> InterlaceReport:
     if abs(f.degree - g.degree) > 1:
         return InterlaceReport(f, g, False, "degrees differ by more than one")
 
-    h = f.gcd(g)
-    f1, g1 = f.exact_div(h), g.exact_div(h)
-    top, low = (f1, g1) if f1.degree > g1.degree else (g1, f1)
+    top, low = (f, g) if f.degree > g.degree else (g, f)
     chain = sturm_chain(top, low)
-    ok = _variations(chain, NEG_INF)[0] - _variations(chain, POS_INF)[0] == top.degree
+    index = _variations(chain, NEG_INF)[0] - _variations(chain, POS_INF)[0]
+    ok = index == top.degree - chain[-1].degree
     witness = sorted(
         [(tag, r.approx())
          for tag, p in (("f", f), ("g", g))
@@ -346,8 +380,12 @@ def same_phase_check(
     lam[i-1] * t and test exact real-rootedness; when ``partner`` (the
     previous family member) is supplied, also test that its restriction
     interlaces this one (a partner restriction that is not real-rooted
-    does not).
+    does not).  Each restriction's real-rootedness is checked once; the
+    rest of the checks of ``interlaces(below, restricted)`` run in its
+    order and raise its errors.
     """
+    for x in lam:
+        _check_exact("ray weight", x)
     if any(x <= 0 for x in lam):
         raise ValueError("ray weights must be positive")
     needed = max(p.variables(), default=0)
@@ -362,7 +400,12 @@ def same_phase_check(
     }
     if partner is not None and ok:
         below = partner.ray_restriction(lam)
-        out["interlaces"] = is_real_rooted(below) and interlaces(below, restricted).verdict
+        interlacing = is_real_rooted(below)
+        if interlacing:
+            _check_interlace_input("f", below, real_rooted=True)
+            _check_interlace_input("g", restricted, real_rooted=True)
+            interlacing = _interlaces(below, restricted).verdict
+        out["interlaces"] = interlacing
     return out
 
 

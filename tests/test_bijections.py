@@ -180,6 +180,22 @@ class TestSwap:
                     image = bj.insert_after(a, swapped)
                     assert spv(image) == (spv(p) - {k}) | {n}
 
+    def test_swap_image_verdict_needs_no_confirmation(self):
+        # wherever the lex insertion repairs a case-5 pair by the swap
+        # inverse, the candidate it takes unconfirmed is the preimage
+        repaired = 0
+        for m in range(2, 8):
+            for p in itertools.permutations(range(1, m + 1)):
+                rr = bj._lex_runs(p)
+                view = bj._sorted_view(rr)
+                for a in range(1, m + 1):
+                    if bj._insert_case(a, p, view)[0] != 5 or bj._case5_class(p, a, rr) is not None:
+                        continue
+                    pre = bj._swap_tail_inverse(a, p, rr)
+                    assert pre is not None and pre == bj.swap_tail_inverse(a, p), (p, a)
+                    repaired += 1
+        assert repaired > 100
+
     def test_non_admissible_insertion_grows_spv(self):
         # inserting without the repair adds the stranded run end as well
         p, a, k = P("38256714"), 6, 7

@@ -17,6 +17,17 @@ from rslab.prng import SplitMix64, rational_in_0_10
 from rslab.realroot import interlaces
 
 
+def _positive_root_count(p: Poly) -> int:
+    """Distinct roots in (0, +inf); strips any root at the origin first so
+    the Sturm endpoint is never itself a root."""
+    q = p
+    while q.degree > 0 and q[0] == 0:
+        q = Poly(q.coeffs[1:])
+    if q.degree == 0:
+        return 0
+    return rr.count_real_roots(q, Fraction(0), rr.POS_INF)
+
+
 class TestSturm:
     def test_counts(self):
         assert rr.count_real_roots(Poly([-2, 0, 1])) == 2  # t^2-2
@@ -38,6 +49,17 @@ class TestSturm:
         assert rr.count_real_roots(p, Fraction(3), Fraction(3)) == 0
         assert rr.count_real_roots(p, rr.NEG_INF, rr.NEG_INF) == 0
         assert rr.count_real_roots(p, rr.POS_INF, rr.POS_INF) == 0
+
+    def test_inexact_endpoints_refused(self):
+        p = Poly([-2, 0, 1])
+        for lo, hi, bad in ((0.1, 3.0, "0.1"), (Fraction(0), 3.0, "3.0"),
+                            (rr.NEG_INF, 1.5, "1.5"), ("inf", rr.POS_INF, "'inf'")):
+            with pytest.raises(ValueError, match=f"^endpoint {bad} is not an int or a Fraction$"):
+                rr.count_real_roots(p, lo, hi)
+        # a constant has no roots, but a float endpoint is still refused
+        with pytest.raises(ValueError, match="endpoint 0.5"):
+            rr.count_real_roots(Poly([1]), 0.5)
+        assert rr.count_real_roots(p, 0, 3) == 1
 
     def test_real_rooted(self):
         assert not rr.is_real_rooted(Poly([1, 0, 1]))
@@ -114,7 +136,7 @@ class TestInterlace:
         for n in range(1, 16):
             p = runsorted_descent_poly(n)
             assert rr.is_real_rooted(p)
-            assert rr._positive_root_count(p) == 0
+            assert _positive_root_count(p) == 0
 
 
 class TestSamePhase:
@@ -130,6 +152,37 @@ class TestSamePhase:
             rr.same_phase_check(q, [Fraction(1), Fraction(-1), Fraction(1)])
         with pytest.raises(ValueError):
             rr.same_phase_check(q, [Fraction(1)])
+
+    def test_rejects_float_rays(self):
+        q = descent_multivar(3)
+        for lam in ([0.5, Fraction(1), Fraction(2)], [Fraction(1), 2, 1e-3]):
+            bad = next(x for x in lam if isinstance(x, float))
+            with pytest.raises(ValueError, match=f"^ray weight {bad!r} is not an int or a Fraction$"):
+                rr.same_phase_check(q, lam, partner=descent_multivar(2))
+        res = rr.same_phase_check(q, [1, 2, Fraction(1, 2)])
+        assert res["lambda"] == [[1, 1], [2, 1], [1, 2]]
+
+    def test_checks_each_restriction_once(self, monkeypatch):
+        checked = []
+        is_real_rooted = rr.is_real_rooted
+        monkeypatch.setattr(rr, "is_real_rooted", lambda p: checked.append(p) or is_real_rooted(p))
+        lam = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 3)]
+        res = rr.same_phase_check(descent_multivar(4), lam, partner=descent_multivar(3))
+        assert res["real_rooted"] and res["interlaces"]
+        assert checked == [descent_multivar(4).ray_restriction(lam),
+                           descent_multivar(3).ray_restriction(lam)]
+
+    @pytest.mark.parametrize("partner, text", [
+        (MPoly({((1, 1),): -1, (): -1}), "f must have a positive leading coefficient"),  # -x1 - 1
+        (MPoly({((1, 1),): 1, (): -1}), "f has a root above 0"),  # x1 - 1
+    ])
+    def test_partner_errors_are_those_of_interlaces(self, partner, text):
+        p = MPoly({((1, 2),): 1, ((1, 1),): 3, (): 2})  # (x1 + 1)(x1 + 2)
+        lam = [Fraction(1)]
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            interlaces(partner.ray_restriction(lam), p.ray_restriction(lam))
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            rr.same_phase_check(p, lam, partner=partner)
 
     def test_partner_not_real_rooted_is_a_finding(self):
         p = MPoly({((1, 1),): 1, (): 1})  # x1 + 1

@@ -1,7 +1,10 @@
 """
 Chain reuse in the real-root layer: isolation and real-rootedness read
-one Sturm chain per polynomial, and must agree exactly with the route
-that rebuilds the chain for every count.
+one Sturm chain per polynomial, each evaluated once per point, and must
+agree exactly with the route that rebuilds the chain for every count.
+The interlacing verdict reads the undivided chain of f and g, and the
+"root above 0" check reads coefficient signs; both must agree with the
+gcd-divided and the Sturm routes.
 """
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from rslab.polynomials import (
     runsorted_descent_poly,
 )
 from rslab.prng import SplitMix64
+from test_realroot import _positive_root_count
 
 
 def poly_from_roots(roots, lead=1):
@@ -188,3 +192,94 @@ def test_family_refusal_names_the_first_bad_member(monkeypatch, bad_n, name):
         rr.verify_interlacing_family("R", 6)
     # members past n_max are never built or checked
     assert rr.verify_interlacing_family("R", bad_n - 1)["verdict"]
+
+
+def record_evaluations(monkeypatch):
+    """Every ``Poly`` evaluation from here on, as (polynomial, point)
+    pairs; the polynomials stay referenced, so their ids stay unique."""
+    seen = []
+    call = Poly.__call__
+
+    def recording(p, x):
+        seen.append((p, x))
+        return call(p, x)
+
+    monkeypatch.setattr(Poly, "__call__", recording)
+    return seen
+
+
+@pytest.mark.parametrize("p, width", [
+    # roots +-sqrt(2) (multiplicity 3), +-sqrt(3), -1 (twice) and 0
+    (Poly([-2, 0, 1]) ** 3 * Poly([-3, 0, 1]) * Poly([1, 1]) ** 2 * Poly.t(), Fraction(1, 10**6)),
+    (run_count_poly(20), None),
+    (run_count_poly(20), Fraction(1, 1000)),
+])
+def test_isolation_evaluates_each_chain_member_once_per_point(monkeypatch, p, width):
+    seen = record_evaluations(monkeypatch)
+    iso = rr.isolate_real_roots(p, width)
+    assert iso.roots
+    keys = [(id(q), x) for q, x in seen]
+    assert len(seen) > 100
+    assert len(set(keys)) == len(keys)
+
+
+def interlace_by_gcd(f, g):
+    """The gcd-divided route: f and g interlace iff f/h and g/h do, with
+    h = gcd(f, g), and the coprime pair is read off its Cauchy index.
+    Returns (verdict, reason) as ``_interlaces`` reports them."""
+    if abs(f.degree - g.degree) > 1:
+        return False, "degrees differ by more than one"
+    h = f.gcd(g)
+    f1, g1 = f.exact_div(h), g.exact_div(h)
+    top, low = (f1, g1) if f1.degree > g1.degree else (g1, f1)
+    chain = rr.sturm_chain(top, low)
+    ok = rr._variations(chain, rr.NEG_INF)[0] - rr._variations(chain, rr.POS_INF)[0] == top.degree
+    return ok, "chain holds" if ok else "chain violated"
+
+
+def family_pairs():
+    for make, top in ((run_count_poly, 22), (runsorted_descent_poly, 22),
+                      (peak_poly, 22), (eulerian_poly, 15)):
+        members = [make(n) for n in range(1, top + 1)]
+        for f, g in zip(members, members[1:]):
+            yield f, g
+            yield g, f
+
+
+def random_root_pairs(seed, count):
+    """Pairs of products over one shared pool of rationals, so that roots
+    are shared and repeated; one pool in four also holds a positive
+    root."""
+    rng = SplitMix64.seed_from(seed)
+    for i in range(count):
+        pool = [Fraction(-rng.below(12), 1 + rng.below(4)) for _ in range(1 + rng.below(4))]
+        if i % 4 == 0:
+            pool.append(Fraction(1 + rng.below(5), 1 + rng.below(3)))
+        f, g = (poly_from_roots([pool[rng.below(len(pool))] for _ in range(rng.below(7))],
+                                lead=1 + rng.below(3)) for _ in range(2))
+        yield f, g
+
+
+def test_interlace_verdict_matches_gcd_route():
+    verdicts = {True: 0, False: 0}
+    pairs = list(family_pairs()) + [
+        (f, g) for f, g in random_root_pairs(6004, 4000)
+        if not (rr._has_positive_root(f) or rr._has_positive_root(g))
+    ]
+    assert len(pairs) >= 3000 + 154
+    for f, g in pairs:
+        rep = rr._interlaces(f, g)
+        assert (rep.verdict, rep.reason) == interlace_by_gcd(f, g), (f.human(), g.human())
+        verdicts[rep.verdict] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
+
+
+def test_descartes_matches_sturm_on_real_rooted_inputs():
+    found = {True: 0, False: 0}
+    members = [p for pair in family_pairs() for p in pair]
+    randoms = [p for pair in random_root_pairs(6004, 4000) for p in pair]
+    for p in members + randoms:
+        got = rr._has_positive_root(p)
+        assert got == (_positive_root_count(p) > 0), p.human()
+        found[got] += 1
+    assert found[True] > 500, found

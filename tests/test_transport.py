@@ -115,6 +115,17 @@ def test_peak_count_corollary():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_transport_sorts_each_parent_image_once(monkeypatch, n):
+    # the runs of each image in S_1 .. S_{n-1} are sorted once, for all
+    # its children; no repair sorts a preimage again
+    sorted_words = []
+    lex_runs = bj._lex_runs
+    monkeypatch.setattr(bj, "_lex_runs", lambda p: sorted_words.append(p) or lex_runs(p))
+    bj.build_peak_transport(n)
+    assert len(sorted_words) == len(set(sorted_words)) == sum(math.factorial(k) for k in range(1, n))
+
+
 def test_cap():
     with pytest.raises(perms.CapExceeded) as exc:
         bj.build_peak_transport(10)
