@@ -28,7 +28,8 @@ admissibility"; the non-admissible case-5 permutations fall into either
 the swap image or one of five residual classes permuted by the
 ``flip_tails`` involution.  One classifier decides this three-way
 branch from the runs of p, and every case-5 route takes its verdict;
-``in_swap_image``, which builds the swap preimage, is its test oracle.
+the tests check its swap-image verdict against ``swap_tail_inverse``,
+which builds the preimage.
 
 ``eta`` stitches the two insertions together into an explicit bijection
 of S_n that maps the peak-value set onto the sorted peak-value set while
@@ -401,12 +402,6 @@ def _swap_tail_inverse(a: int, p: Word, rr: LexRuns) -> Word | None:
     rest = list(p[: i + 2]) + list(p[e:])
     pos = rest.index(g1[0][-1])
     return tuple(rest[: pos + 1] + upper + rest[pos + 1 :])
-
-
-def in_swap_image(p: Sequence[int], a: int) -> bool:
-    """Swap-image membership by building the preimage; the oracle for the
-    None verdict of the case-5 classifier."""
-    return swap_tail_inverse(a, tuple(p)) is not None
 
 
 def _case5_class(p: Word, a: int, rr: LexRuns) -> int | None:

@@ -19,6 +19,14 @@ from . import perms
 Scalar = int | Fraction
 
 
+def _check_exact(what: str, values: Iterable) -> None:
+    """Refuse a float (or any other inexact value) among ``values`` where a
+    result needs exact arithmetic."""
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"{what} {x!r} is not an int or a Fraction")
+
+
 def _trim(coeffs: list[Scalar]) -> tuple[Scalar, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -28,6 +36,7 @@ def _trim(coeffs: list[Scalar]) -> tuple[Scalar, ...]:
 class Poly:
     """
     Dense univariate polynomial; ``coeffs[i]`` is the coefficient of t^i.
+    A coefficient that is not an int or a Fraction raises ValueError.
 
     >>> Poly([1, 11, 3]).human()
     '3t^2+11t+1'
@@ -38,7 +47,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs = _trim(list(coeffs))
+        coeffs = list(coeffs)
+        _check_exact("coefficient", coeffs)
+        self.coeffs = _trim(coeffs)
 
     @staticmethod
     def t() -> "Poly":
@@ -340,21 +351,6 @@ def run_count_poly(n: int) -> Poly:
     return runsorted_descent_poly(n).shift_up()
 
 
-def run_count_poly_by_derivative(n: int) -> Poly:
-    """Oracle for :func:`run_count_poly`:
-    R_n = t R'_{n-1} + t (n-2) R_{n-2}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = Poly.t()
-    r_prev2, r_prev = t, t  # n = 1 and n = 2
-    if n <= 2:
-        return t
-    for m in range(3, n + 1):
-        r_new = t * r_prev.derivative() + (m - 2) * t * r_prev2
-        r_prev2, r_prev = r_prev, r_new
-    return r_prev
-
-
 @lru_cache(maxsize=None)
 def descent_multivar_from_end(n: int) -> MPoly:
     """
@@ -394,16 +390,6 @@ def descent_multivar(n: int) -> MPoly:
     prod_{j in DES} x_j.  This is the same-phase-stability test subject.
     """
     return descent_multivar_from_end(n).relabel({j: n - j for j in range(1, n)})
-
-
-def descent_multivar_by_enumeration(n: int) -> MPoly:
-    """Oracle for :func:`descent_multivar`: filter all of S_n."""
-    out: dict[Monomial, Scalar] = {}
-    for p in perms.enumerate_sn(n):
-        if perms.is_runsorted(p):
-            key = monomial_from_set(perms.descent_set(p))
-            out[key] = out.get(key, 0) + 1
-    return MPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +432,6 @@ def eulerian_multivar(n: int) -> MPoly:
             nxt[S + (i,)] = [below[-1] - c for c in below]
         rows = nxt
     return MPoly({monomial_from_set(S): sum(row) for S, row in rows.items()})
-
-
-def eulerian_multivar_by_enumeration(n: int) -> MPoly:
-    """Oracle for :func:`eulerian_multivar`: sum over all of S_n."""
-    out: dict[Monomial, Scalar] = {}
-    for p in perms.enumerate_sn(n):
-        key = monomial_from_set(perms.descent_set(p))
-        out[key] = out.get(key, 0) + 1
-    return MPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -511,38 +488,33 @@ def peak_poly_by_enumeration(n: int) -> Poly:
     return Poly([counts.get(i, 0) for i in range(max(counts) + 1)])
 
 
-@lru_cache(maxsize=None)
 def peak_multivar(n: int) -> MPoly:
     """
     Multivariate peak-value polynomial of S_n: each permutation
     contributes prod of x_v over its peak values v.
 
-    The recursion places the letter n at every position: at either border
-    it contributes 2*previous, and as a peak at position k it splits the
-    remaining letters into an ordered pair of smaller instances on
-    complementary variable sets.
+    Built by inserting the letters 1, 2, ..., n in turn, the recurrence
+    behind :func:`peak_triangle`.  Inserting m into a word with peak set P:
+    at either border it changes nothing; in one of the m-2-2|P| gaps next
+    to no peak it adds the peak m; in either gap beside a peak p it
+    replaces p by m.  That is
+    B_m = (2 + (m-2) x_m) B_{m-1} + 2 x_m sum_p (1 - x_p) d/dx_p B_{m-1},
+    and B_n has C(n-1, floor((n-1)/2)) terms.
+
+    >>> peak_multivar(3)
+    MPoly(4*1 + 2*x3)
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return MPoly.const(1)
-    out = 2 * peak_multivar(n - 1)
-    xn = MPoly.from_set([n])
-    universe = list(range(1, n))
-    for k in range(2, n):
-        left_size = k - 1
-        for T in itertools.combinations(universe, left_size):
-            rest = [v for v in universe if v not in T]
-            left = peak_multivar(left_size).relabel({i + 1: T[i] for i in range(left_size)})
-            right = peak_multivar(n - k).relabel({i + 1: rest[i] for i in range(n - k)})
-            out = out + xn * left * right
-    return out
-
-
-def peak_multivar_by_enumeration(n: int) -> MPoly:
-    """Oracle for :func:`peak_multivar`: sum over all of S_n."""
-    out: dict[Monomial, Scalar] = {}
-    for p in perms.enumerate_sn(n):
-        key = monomial_from_set(perms.peak_values(p))
-        out[key] = out.get(key, 0) + 1
-    return MPoly(out)
+    perms.check_cap(n)
+    counts: dict[tuple[int, ...], int] = {(): 1}
+    for m in range(2, n + 1):
+        nxt: dict[tuple[int, ...], int] = {}
+        for peaks, c in counts.items():
+            nxt[peaks] = nxt.get(peaks, 0) + 2 * c
+            free = m - 2 - 2 * len(peaks)
+            if free:
+                nxt[peaks + (m,)] = nxt.get(peaks + (m,), 0) + free * c
+            for i in range(len(peaks)):
+                key = peaks[:i] + peaks[i + 1 :] + (m,)
+                nxt[key] = nxt.get(key, 0) + 2 * c
+        counts = nxt
+    return MPoly({monomial_from_set(peaks): c for peaks, c in counts.items()})

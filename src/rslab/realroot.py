@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .polynomials import MPoly, Poly
+from .polynomials import MPoly, Poly, _check_exact
 from .prng import SplitMix64, rational_in_0_10
 
 NEG_INF = "-inf"
@@ -63,13 +63,6 @@ def _endpoint_key(x: Endpoint) -> tuple:
     return (-1, 0) if x == NEG_INF else (1, 0) if x == POS_INF else (0, x)
 
 
-def _check_exact(what: str, x) -> None:
-    """Refuse a float (or any other inexact value) where a verdict needs
-    exact arithmetic."""
-    if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"{what} {x!r} is not an int or a Fraction")
-
-
 def count_real_roots(p: Poly, lo: Endpoint = NEG_INF, hi: Endpoint = POS_INF) -> int:
     """
     Number of distinct real roots of p in the half-open interval (lo, hi],
@@ -77,9 +70,7 @@ def count_real_roots(p: Poly, lo: Endpoint = NEG_INF, hi: Endpoint = POS_INF) ->
     when an endpoint is neither -inf, +inf, an int nor a Fraction, when
     hi < lo, or when lo is a root of p.
     """
-    for x in (lo, hi):
-        if x not in (NEG_INF, POS_INF):
-            _check_exact("endpoint", x)
+    _check_exact("endpoint", (x for x in (lo, hi) if x not in (NEG_INF, POS_INF)))
     if p.is_zero():
         raise ValueError("zero polynomial has no root count")
     if _endpoint_key(hi) < _endpoint_key(lo):
@@ -384,8 +375,7 @@ def same_phase_check(
     rest of the checks of ``interlaces(below, restricted)`` run in its
     order and raise its errors.
     """
-    for x in lam:
-        _check_exact("ray weight", x)
+    _check_exact("ray weight", lam)
     if any(x <= 0 for x in lam):
         raise ValueError("ray weights must be positive")
     needed = max(p.variables(), default=0)

@@ -7,6 +7,7 @@ longer affordable.
 from rslab import bijections as bj
 from rslab.perms import run_starts, runsort, spv
 from rslab.prng import SplitMix64, fisher_yates
+from test_bijections import in_swap_image
 
 
 def _random_cases(n: int, count: int, seed: int):
@@ -76,7 +77,7 @@ def test_swap_and_flip_random_large_n():
             elif (
                 a in slope_set(p)
                 and not bj.is_slope_admissible(p, a)
-                and not bj.in_swap_image(p, a)
+                and not in_swap_image(p, a)
             ):
                 flipped = bj.flip_tails(a, p)
                 assert bj.flip_tails(a, flipped) == p

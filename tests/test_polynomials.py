@@ -1,34 +1,75 @@
 """Polynomial arithmetic and the counting families."""
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslab import perms
+from rslab import perms, realroot
 from rslab.polynomials import (
+    Monomial,
     MPoly,
     Poly,
     descent_multivar,
-    descent_multivar_by_enumeration,
     descent_multivar_from_end,
     descent_multivar_from_end_by_first_run,
     eulerian_multivar,
-    eulerian_multivar_by_enumeration,
     eulerian_poly,
+    monomial_from_set,
     peak_multivar,
-    peak_multivar_by_enumeration,
     peak_poly,
     peak_poly_by_derivative,
     peak_poly_by_enumeration,
     peak_triangle,
     run_count_poly,
-    run_count_poly_by_derivative,
     run_count_triangle,
     runsorted_descent_poly,
 )
+
+
+def run_count_poly_by_derivative(n: int) -> Poly:
+    """Oracle for :func:`run_count_poly`:
+    R_n = t R'_{n-1} + t (n-2) R_{n-2}."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    t = Poly.t()
+    r_prev2, r_prev = t, t  # n = 1 and n = 2
+    if n <= 2:
+        return t
+    for m in range(3, n + 1):
+        r_new = t * r_prev.derivative() + (m - 2) * t * r_prev2
+        r_prev2, r_prev = r_prev, r_new
+    return r_prev
+
+
+def descent_multivar_by_enumeration(n: int) -> MPoly:
+    """Oracle for :func:`descent_multivar`: filter all of S_n."""
+    out: dict[Monomial, int] = {}
+    for p in perms.enumerate_sn(n):
+        if perms.is_runsorted(p):
+            key = monomial_from_set(perms.descent_set(p))
+            out[key] = out.get(key, 0) + 1
+    return MPoly(out)
+
+
+def eulerian_multivar_by_enumeration(n: int) -> MPoly:
+    """Oracle for :func:`eulerian_multivar`: sum over all of S_n."""
+    out: dict[Monomial, int] = {}
+    for p in perms.enumerate_sn(n):
+        key = monomial_from_set(perms.descent_set(p))
+        out[key] = out.get(key, 0) + 1
+    return MPoly(out)
+
+
+def peak_multivar_by_enumeration(n: int) -> MPoly:
+    """Oracle for :func:`peak_multivar`: sum over all of S_n."""
+    out: dict[Monomial, int] = {}
+    for p in perms.enumerate_sn(n):
+        key = monomial_from_set(perms.peak_values(p))
+        out[key] = out.get(key, 0) + 1
+    return MPoly(out)
 
 TABLE_A = {
     1: "1",
@@ -78,6 +119,14 @@ class TestPoly:
         assert Poly([1, Fraction(1, 2)]).to_json() == [1, [1, 2]]
         assert Poly([Fraction(2, 1)]).to_json() == [2]
 
+    def test_refuses_inexact_coefficients(self):
+        with pytest.raises(ValueError, match=r"^coefficient 0\.1 is not an int or a Fraction$"):
+            Poly([1, 0.1])
+        # the root 0.1000000000000000055... lies above 1/10, but a float
+        # polynomial reads p(1/10) as 0.0
+        with pytest.raises(ValueError, match="coefficient -0.1 is not"):
+            realroot.count_real_roots(Poly([-0.1, 1]), Fraction(0), Fraction(1, 10))
+
 
 class TestMPoly:
     def test_basics(self):
@@ -100,6 +149,11 @@ class TestMPoly:
         lam = [Fraction(1), Fraction(3, 2)]
         assert p.ray_restriction(lam) == Poly([1, Fraction(3, 2)])
         with pytest.raises(ValueError):
+            p.ray_restriction([Fraction(1)])
+
+    def test_ray_restriction_refuses_inexact_coefficients(self):
+        p = MPoly.const(1) + MPoly.from_set([1], 0.5)
+        with pytest.raises(ValueError, match="coefficient 0.5 is not"):
             p.ray_restriction([Fraction(1)])
 
 
@@ -189,13 +243,31 @@ class TestPeaks:
         assert tri[5] == [32, 416, 272]
 
     def test_multivar_recursion_vs_enum(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             assert peak_multivar(n) == peak_multivar_by_enumeration(n)
             assert peak_multivar(n).ray_restriction([1] * n) == peak_poly(n)
 
     def test_multivar_small(self):
         assert peak_multivar(1) == MPoly.const(1)
         assert peak_multivar(3) == MPoly.const(4) + 2 * MPoly.from_set([3])
+
+    def test_multivar_past_the_cap(self, monkeypatch):
+        monkeypatch.setenv("RSLAB_MAX_N", "16")
+        for n in range(1, 17):
+            b = peak_multivar(n)
+            assert b.ray_restriction([1] * n) == peak_poly(n)
+            assert sum(b.terms.values()) == factorial(n)
+            assert len(b.terms) == comb(n - 1, (n - 1) // 2)
+
+    def test_multivar_refuses_above_the_cap(self, monkeypatch):
+        monkeypatch.delenv("RSLAB_MAX_N", raising=False)
+        with pytest.raises(perms.CapExceeded) as exc:
+            peak_multivar(12)
+        with pytest.raises(perms.CapExceeded) as want:
+            perms.check_cap(12)
+        assert str(exc.value) == str(want.value) == (
+            "refusing n=12: cap is 11 (raise RSLAB_MAX_N to override)"
+        )
 
 
 @settings(max_examples=60)
