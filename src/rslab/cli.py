@@ -157,14 +157,12 @@ def _suite_eta(args) -> dict:
         if perms.peak_values(sig) != perms.spv(img) or perms.run_starts(sig) != perms.run_starts(img):
             bad.append([list(sig), list(img)])
     ok = not bad and len(table) == factorial(n) and len(set(table.values())) == factorial(n)
-    return {"schema": SCHEMA, "suite": "eta", "n": n, "verdict": ok,
-            "n_failures": len(bad), "failures": bad[:10]}
+    return {"n": n, "verdict": ok, "n_failures": len(bad), "failures": bad[:10]}
 
 
 def _suite_interlacing(args) -> dict:
     n_max = 25 if args.max_n is None else args.max_n
     rep = rr.verify_interlacing_family("R" if args.family is None else args.family, n_max)
-    rep["suite"] = "interlacing"
     rep["n_failures"] = len(rep["failures"])
     return rep
 
@@ -196,13 +194,14 @@ def _suite_same_phase(args) -> dict:
     else:
         parts = [rr.conjecture_scan(*jobs[0])]
     rep = rr.merge_scans(parts)
-    rep["suite"] = "same-phase"
     rep["n_failures"] = len(rep["failures"])
     return rep
 
 
 def _suite_egf(args) -> dict:
     order = 11 if args.order is None else args.order
+    if order < 0:
+        raise ValueError("order must be non-negative")
     reports = {
         "runsorted": sr.egf_runsorted_report(order),
         "peaks": sr.egf_peaks_report(min(order, 10)),
@@ -212,8 +211,7 @@ def _suite_egf(args) -> dict:
     means = sr.expected_peaks_series(10)
     checks = [reports["runsorted"]["ok"], reports["peaks"]["ok"], reports["binary"]["ok"],
               reports["sheffer"]["identity_holds"], means[5] == 1]
-    return {"schema": SCHEMA, "suite": "egf", "verdict": all(checks),
-            "n_failures": checks.count(False), "reports": reports}
+    return {"verdict": all(checks), "n_failures": checks.count(False), "reports": reports}
 
 
 def _suite_binary(args) -> dict:
@@ -238,8 +236,6 @@ def _suite_binary(args) -> dict:
     if not roselle["ok"]:
         problems.append({"roselle": roselle})
     return {
-        "schema": SCHEMA,
-        "suite": "binary",
         "max_n": top,
         "verdict": not problems,
         "n_failures": len(problems),
@@ -261,28 +257,23 @@ def _suite_mip(args) -> dict:
         pairs = [(a, tot - a) for tot in range(top + 1) for a in range(tot + 1)]
     table = bw.product_count_table(top, top)
     for a, b in pairs:
-        want = table[a][b] if ((a >= 1 and b >= 1) or a + b == 0) else 0
         got = bw.maj_pair_count(a, b)
+        want = table[a][b] if ((a >= 1 and b >= 1) or a + b == 0) else 0
         if got != want:
             bad.append({"a": a, "b": b, "got": got, "want": want})
-    return {"schema": SCHEMA, "suite": "mip", "max_n": top, "verdict": not bad,
-            "n_failures": len(bad), "failures": bad}
+    return {"max_n": top, "verdict": not bad, "n_failures": len(bad), "failures": bad}
 
 
 def _suite_golden(args) -> dict:
     ids = [args.id] if args.id else sorted(st.GOLDEN)
     reports = [st.golden_check(i) for i in ids]
-    return {
-        "schema": SCHEMA,
-        "suite": "golden",
-        "verdict": all(r["ok"] for r in reports),
-        "n_failures": sum(1 for r in reports if not r["ok"]),
-        "reports": reports,
-    }
+    return {"verdict": all(r["ok"] for r in reports),
+            "n_failures": sum(1 for r in reports if not r["ok"]), "reports": reports}
 
 
 def _suite_admissibility(args) -> dict:
     top = (7 if args.max_n is None else args.max_n) - 1
+    perms.check_cap(max(top, 1))
     bad = []
     for m in range(2, top + 1):
         for p in perms.enumerate_sn(m):
@@ -295,14 +286,7 @@ def _suite_admissibility(args) -> dict:
                 if a in slopes:
                     if bj.is_slope_admissible(p, a) != bj.slope_admissible_by_definition(p, a):
                         bad.append({"kind": "slope", "p": list(p), "a": a})
-    return {
-        "schema": SCHEMA,
-        "suite": "admissibility",
-        "max_n": top + 1,
-        "verdict": not bad,
-        "n_failures": len(bad),
-        "failures": bad[:10],
-    }
+    return {"max_n": top + 1, "verdict": not bad, "n_failures": len(bad), "failures": bad[:10]}
 
 
 _SUITES = {
@@ -318,7 +302,7 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = _SUITES[args.suite](args)
+    report = {"schema": SCHEMA, "suite": args.suite, **_SUITES[args.suite](args)}
     ok = report["verdict"]
     human = f"{args.suite}: {'pass' if ok else 'FAIL'}"
     if not ok:

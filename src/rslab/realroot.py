@@ -272,10 +272,24 @@ def interlaces(f: Poly, g: Poly) -> InterlaceReport:
     changes of the coefficients (Descartes' rule, exact once every root is
     real).  The witness is for readers only: the roots of f and g with
     multiplicity, largest first, as float approximations.
+
+    >>> rep = interlaces(Poly([2, 3, 1]), Poly([1, 1]))
+    >>> rep.verdict, rep.reason
+    (True, 'chain holds')
     """
     _check_interlace_input("f", f)
     _check_interlace_input("g", g)
-    return _interlaces(f, g)
+    if abs(f.degree - g.degree) > 1:
+        return InterlaceReport(f, g, False, "degrees differ by more than one")
+    ok = _interlaces(f, g)
+    witness = sorted(
+        [(tag, r.approx())
+         for tag, p in (("f", f), ("g", g))
+         for r in isolate_real_roots(p).roots
+         for _ in range(r.multiplicity)],
+        key=lambda t: -t[1],
+    )
+    return InterlaceReport(f, g, ok, "chain holds" if ok else "chain violated", witness)
 
 
 def _check_interlace_input(name: str, p: Poly, real_rooted: bool = False) -> None:
@@ -300,24 +314,14 @@ def _has_positive_root(p: Poly) -> bool:
     return any(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _interlaces(f: Poly, g: Poly) -> InterlaceReport:
-    """``interlaces`` on inputs that have passed its checks."""
+def _interlaces(f: Poly, g: Poly) -> bool:
+    """The verdict of ``interlaces`` on inputs that have passed its checks."""
     if abs(f.degree - g.degree) > 1:
-        return InterlaceReport(f, g, False, "degrees differ by more than one")
-
+        return False
     top, low = (f, g) if f.degree > g.degree else (g, f)
     chain = sturm_chain(top, low)
     index = _variations(chain, NEG_INF)[0] - _variations(chain, POS_INF)[0]
-    ok = index == top.degree - chain[-1].degree
-    witness = sorted(
-        [(tag, r.approx())
-         for tag, p in (("f", f), ("g", g))
-         for r in isolate_real_roots(p).roots
-         for _ in range(r.multiplicity)],
-        key=lambda t: -t[1],
-    )
-    reason = "chain holds" if ok else "chain violated"
-    return InterlaceReport(f, g, ok, reason, witness)
+    return index == top.degree - chain[-1].degree
 
 
 def verify_interlacing_family(family: str, n_max: int = 25) -> dict:
@@ -325,7 +329,9 @@ def verify_interlacing_family(family: str, n_max: int = 25) -> dict:
     Check consecutive interlacing along a polynomial family: "A"
     (run-sorted descent polynomials), "R" (run-count polynomials), "B"
     (peak polynomials), or "E" (Eulerian).  Exact; also confirms
-    real-rootedness with non-positive roots at every step.
+    real-rootedness with non-positive roots at every step.  Only a
+    failing pair is reported, as ``interlaces(f, g).to_json()`` with its
+    float witness; a passing family isolates no root.
     """
     from .polynomials import eulerian_poly, peak_poly, run_count_poly, runsorted_descent_poly
 
@@ -347,9 +353,8 @@ def verify_interlacing_family(family: str, n_max: int = 25) -> dict:
     for n in range(2, n_max + 1):
         f, g = g, make(n)
         _check_interlace_input("g", g)
-        rep = _interlaces(f, g)
-        if not rep.verdict:
-            failures.append({"n": n, "report": rep.to_json()})
+        if not _interlaces(f, g):
+            failures.append({"n": n, "report": interlaces(f, g).to_json()})
     return {
         "schema": 1,
         "family": family,
@@ -394,7 +399,7 @@ def same_phase_check(
         if interlacing:
             _check_interlace_input("f", below, real_rooted=True)
             _check_interlace_input("g", restricted, real_rooted=True)
-            interlacing = _interlaces(below, restricted).verdict
+            interlacing = _interlaces(below, restricted)
         out["interlaces"] = interlacing
     return out
 

@@ -107,7 +107,7 @@ def test_verify_mip(capsys):
 
 
 def test_verify_mip_refuses_negative_counts(capsys):
-    for a, b in [("-4", "9"), ("-4", "1")]:
+    for a, b in [("-4", "9"), ("-4", "1"), ("-1", "1")]:
         code, out, err = run(capsys, "verify", "mip", "--a", a, "--b", b)
         assert code == 2 and out == "" and "non-negative" in err
 
@@ -120,6 +120,23 @@ def test_verify_zero_flags_are_values(capsys):
     assert code == 0 and json.loads(out)["max_n"] == 0
     code, out, _ = run(capsys, "verify", "egf", "--order", "0", "--format", "json")
     assert code == 0 and json.loads(out)["reports"]["runsorted"]["order"] == 0
+
+
+def test_verify_egf_refuses_negative_order(capsys):
+    code, out, err = run(capsys, "verify", "egf", "--order", "-1")
+    assert code == 2 and out == "" and "order must be non-negative" in err
+
+
+def test_verify_admissibility_refuses_above_cap_before_scanning(capsys, monkeypatch):
+    from rslab import bijections as bj
+
+    calls = []
+    monkeypatch.setenv("RSLAB_MAX_N", "4")
+    monkeypatch.setattr(bj, "is_peak_admissible", lambda p, a: calls.append((p, a)))
+    code, out, err = run(capsys, "verify", "admissibility", "--max-n", "6")
+    assert code == 2 and out == ""
+    assert "refusing n=5: cap is 4 (raise RSLAB_MAX_N to override)" in err
+    assert calls == []
 
 
 def test_verify_mip_refuses_a_without_b(capsys):

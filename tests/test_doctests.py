@@ -1,7 +1,7 @@
 """The examples embedded in docstrings must actually hold."""
 import doctest
 
-from rslab import bijections, perms, polynomials
+from rslab import bijections, perms, polynomials, realroot
 
 
 def test_perms_doctests():
@@ -16,4 +16,9 @@ def test_polynomials_doctests():
 
 def test_bijections_doctests():
     result = doctest.testmod(bijections)
+    assert result.failed == 0 and result.attempted > 0
+
+
+def test_realroot_doctests():
+    result = doctest.testmod(realroot)
     assert result.failed == 0 and result.attempted > 0

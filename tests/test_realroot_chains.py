@@ -177,6 +177,35 @@ def test_family_members_checked_once(monkeypatch):
     assert checked == [run_count_poly(n) for n in range(1, 10)]
 
 
+def record_isolations(monkeypatch):
+    """Every polynomial ``isolate_real_roots`` is called on from here on."""
+    seen = []
+    isolate = rr.isolate_real_roots
+    monkeypatch.setattr(rr, "isolate_real_roots", lambda p, width=None: seen.append(p) or isolate(p, width))
+    return seen
+
+
+@pytest.mark.parametrize("run", [
+    lambda: rr.verify_interlacing_family("E", 20),
+    lambda: rr.conjecture_scan("Q", 6, 10),
+])
+def test_passing_runs_isolate_no_root(monkeypatch, run):
+    seen = record_isolations(monkeypatch)
+    assert run()["verdict"]
+    assert seen == []
+
+
+def test_family_failure_reports_the_public_verdict(monkeypatch):
+    from rslab import polynomials
+
+    below, above = Poly([1, 1]), Poly([3, 1]) * Poly([4, 1])
+    monkeypatch.setattr(polynomials, "run_count_poly", lambda n: below if n == 1 else above)
+    rep = rr.verify_interlacing_family("R", 2)
+    assert not rep["verdict"]
+    assert rep["failures"] == [{"n": 2, "report": rr.interlaces(below, above).to_json()}]
+    assert rep["failures"][0]["report"]["witness"]
+
+
 @pytest.mark.parametrize("bad_n, name", [(1, "f"), (2, "g"), (5, "g")])
 def test_family_refusal_names_the_first_bad_member(monkeypatch, bad_n, name):
     from rslab import polynomials
@@ -226,7 +255,7 @@ def test_isolation_evaluates_each_chain_member_once_per_point(monkeypatch, p, wi
 def interlace_by_gcd(f, g):
     """The gcd-divided route: f and g interlace iff f/h and g/h do, with
     h = gcd(f, g), and the coprime pair is read off its Cauchy index.
-    Returns (verdict, reason) as ``_interlaces`` reports them."""
+    Returns (verdict, reason) as ``interlaces`` reports them."""
     if abs(f.degree - g.degree) > 1:
         return False, "degrees differ by more than one"
     h = f.gcd(g)
@@ -268,7 +297,7 @@ def test_interlace_verdict_matches_gcd_route():
     ]
     assert len(pairs) >= 3000 + 154
     for f, g in pairs:
-        rep = rr._interlaces(f, g)
+        rep = rr.interlaces(f, g)
         assert (rep.verdict, rep.reason) == interlace_by_gcd(f, g), (f.human(), g.human())
         verdicts[rep.verdict] += 1
     assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
