@@ -3,13 +3,16 @@ Counting polynomials and their closed-form exponential generating
 functions, all exact: descent polynomials of run-sorted permutations,
 peak polynomials of S_n, and the binary-word analogue.
 """
+from collections import Counter
 from math import factorial
 
+from rslab import bijections as bj
 from rslab import series as sr
 from rslab.binwords import binary_descent_poly
 from rslab.polynomials import (
-    descent_multivar_from_end,
-    descent_multivar_from_end_by_first_run,
+    MPoly,
+    descent_multivar,
+    monomial_from_set,
     peak_poly,
     peak_poly_by_derivative,
     peak_poly_by_enumeration,
@@ -35,11 +38,15 @@ for n in range(1, 7):
     print(f"  n={n}: {a}   (routes agree: {a == b == c})")
 print()
 
-# The same multivariate polynomial out of two different recursions.
-m = descent_multivar_from_end_by_first_run(5)
-print("multivariate descent polynomial, n=5 (positions from the end):")
-print(" ", m.to_json())
-print("  first-run recursion == 1-and-2 recursion:", m == descent_multivar_from_end(5))
+# The multivariate polynomial, and the same terms summed over the set
+# partitions of [4] through the run-sorted bijection.
+q = descent_multivar(5)
+by_partitions = MPoly(Counter(
+    monomial_from_set(bj.partition_descents(p)) for p in bj.enumerate_set_partitions(4)
+))
+print("multivariate descent polynomial, n=5 (absolute positions):")
+print(" ", q)
+print("  equals the sum over the set partitions of [4]:", q == by_partitions)
 print()
 
 g = sr.egf_runsorted_descents(9)

@@ -119,7 +119,14 @@ def cmd_stat(args: argparse.Namespace) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
+def _check_max_n(args: argparse.Namespace) -> None:
+    """Refuse a negative ``--max-n``, which would check nothing."""
+    if args.max_n is not None and args.max_n < 0:
+        raise ValueError("max-n must be non-negative")
+
+
 def cmd_tables(args: argparse.Namespace) -> int:
+    _check_max_n(args)
     make = runsorted_descent_poly if args.which == "A" else peak_poly
     rows = {n: make(n) for n in range(1, args.max_n + 1)}
     report = {
@@ -302,6 +309,9 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_max_n(args)
+    if args.parallel < 1:
+        raise ValueError("parallel must be at least 1")
     report = {"schema": SCHEMA, "suite": args.suite, **_SUITES[args.suite](args)}
     ok = report["verdict"]
     human = f"{args.suite}: {'pass' if ok else 'FAIL'}"

@@ -1,16 +1,17 @@
 """
-Exact univariate and sparse multivariate polynomial arithmetic, plus the
-descent- and peak-counting polynomial families built on top of it.
+Exact univariate polynomial arithmetic, sparse multivariate polynomials,
+and the descent- and peak-counting polynomial families built on them.
 
 Coefficients are Python ints or ``fractions.Fraction``; nothing here ever
 rounds.  Univariate polynomials are dense (degrees stay small), the
-multivariate ones are sparse maps from exponent vectors to coefficients.
+multivariate ones are sparse maps from exponent vectors to coefficients
+that are built term by term and only restricted to rays, never
+multiplied.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -112,6 +113,8 @@ class Poly:
         return Poly([Fraction(c) / scalar for c in self.coeffs])
 
     def __pow__(self, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError("exponent must be non-negative")
         out = Poly.const(1)
         for _ in range(k):
             out = out * self
@@ -214,7 +217,8 @@ class MPoly:
     """
     Sparse multivariate polynomial over the integers (or Fractions);
     variables are indexed by positive integers.  The zero coefficient is
-    never stored.
+    never stored.  It holds terms and restricts them to a ray; it has no
+    arithmetic.
     """
 
     __slots__ = ("terms",)
@@ -226,57 +230,14 @@ class MPoly:
                 if c != 0:
                     self.terms[m] = c
 
-    @staticmethod
-    def const(c: Scalar) -> "MPoly":
-        return MPoly({(): c})
-
-    @staticmethod
-    def from_set(vars_: Iterable[int], coeff: Scalar = 1) -> "MPoly":
-        return MPoly({monomial_from_set(vars_): coeff})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MPoly) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return MPoly(out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return MPoly(out)
-
-    def __mul__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            return MPoly({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for v, e in m2:
-                    d[v] = d.get(v, 0) + e
-                key = tuple(sorted(d.items()))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MPoly(out)
-
-    __rmul__ = __mul__
-
     def variables(self) -> set[int]:
         return {v for m in self.terms for v, _ in m}
-
-    def relabel(self, mapping: Mapping[int, int]) -> "MPoly":
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            key = tuple(sorted((mapping[v], e) for v, e in m))
-            out[key] = out.get(key, 0) + c
-        return MPoly(out)
 
     def ray_restriction(self, lam: Sequence[Scalar]) -> Poly:
         """
@@ -351,45 +312,38 @@ def run_count_poly(n: int) -> Poly:
     return runsorted_descent_poly(n).shift_up()
 
 
-@lru_cache(maxsize=None)
-def descent_multivar_from_end(n: int) -> MPoly:
-    """
-    Multivariate descent-set polynomial of run-sorted permutations of [n]
-    with descent positions indexed from the *end* of the word: the word
-    with descent set D contributes the monomial prod_{j in D} x_{n-j}.
-
-    Recursion on whether 1 and 2 share a run, with weight C(n-2, i-1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return MPoly.const(1)
-    out = descent_multivar_from_end(n - 1)
-    for i in range(1, n - 1):
-        out = out + MPoly.from_set([i], comb(n - 2, i - 1)) * descent_multivar_from_end(i)
-    return out
-
-
-@lru_cache(maxsize=None)
-def descent_multivar_from_end_by_first_run(n: int) -> MPoly:
-    """Oracle for :func:`descent_multivar_from_end`: peel the first run,
-    with weight C(n-1, i) - 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = MPoly.const(1)
-    for i in range(1, n - 1):
-        w = comb(n - 1, i) - 1
-        out = out + MPoly.from_set([i], w) * descent_multivar_from_end_by_first_run(i)
-    return out
-
-
 def descent_multivar(n: int) -> MPoly:
     """
     Multivariate descent-set polynomial of run-sorted permutations of [n]
-    with *absolute* descent positions: each word contributes
+    with absolute descent positions: each word contributes
     prod_{j in DES} x_j.  This is the same-phase-stability test subject.
+
+    Read off the set partitions of [N], N = n-1, through
+    :func:`~rslab.bijections.partition_to_runsorted`.  With the blocks
+    ordered by their minima, block sizes s_1, s_2, ... and prefix sums
+    S_j, the image's descent set is {S_j : s_j >= 2}.  Block j holds the
+    least element left and s_j - 1 of the N - S_{j-1} - 1 elements above
+    it, so C(N - S_{j-1} - 1, s_j - 1) choices give it the same size.
+    ``rows[S]`` counts the block prefixes covering S elements by descent
+    set, so nothing scans a partition; Q_n has F_n (Fibonacci) terms.
+
+    >>> descent_multivar(4)
+    MPoly(1*1 + 2*x2 + 2*x3)
     """
-    return descent_multivar_from_end(n).relabel({j: n - j for j in range(1, n)})
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = n - 1
+    rows: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+    rows[0][()] = 1
+    for start in range(size):
+        left = size - start
+        for s in range(1, left + 1):
+            w = comb(left - 1, s - 1)
+            nxt = rows[start + s]
+            for des, c in rows[start].items():
+                key = des + (start + s,) if s >= 2 else des
+                nxt[key] = nxt.get(key, 0) + w * c
+    return MPoly({monomial_from_set(des): c for des, c in rows[size].items()})
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,24 @@ def test_verify_same_phase_refuses_negative_samples(capsys):
     assert code == 2 and out == "" and "samples must be non-negative" in err
 
 
+def test_tables_refuses_negative_max_n(capsys):
+    for which in ("A", "peaks"):
+        code, out, err = run(capsys, "tables", "--which", which, "--max-n", "-1")
+        assert code == 2 and out == "" and "max-n must be non-negative" in err
+
+
+def test_verify_refuses_negative_max_n(capsys):
+    for suite in ("interlacing", "same-phase", "admissibility", "binary", "mip"):
+        code, out, err = run(capsys, "verify", suite, "--max-n", "-3")
+        assert code == 2 and out == "" and "max-n must be non-negative" in err, suite
+
+
+def test_verify_same_phase_refuses_parallel_below_one(capsys):
+    for k in ("0", "-4"):
+        code, out, err = run(capsys, "verify", "same-phase", "--max-n", "3", "--parallel", k)
+        assert code == 2 and out == "" and "parallel must be at least 1" in err
+
+
 def test_verify_empty_family_refused(capsys):
     for suite in ("interlacing", "same-phase"):
         code, out, err = run(capsys, "verify", suite, "--family", "")

@@ -1,20 +1,20 @@
 """Polynomial arithmetic and the counting families."""
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rslab import bijections as bj
 from rslab import perms, realroot
 from rslab.polynomials import (
     Monomial,
     MPoly,
     Poly,
     descent_multivar,
-    descent_multivar_from_end,
-    descent_multivar_from_end_by_first_run,
     eulerian_multivar,
     eulerian_poly,
     monomial_from_set,
@@ -52,6 +52,45 @@ def descent_multivar_by_enumeration(n: int) -> MPoly:
             key = monomial_from_set(perms.descent_set(p))
             out[key] = out.get(key, 0) + 1
     return MPoly(out)
+
+
+@cache
+def descent_counts_from_end_by_first_run(n: int) -> dict[tuple[int, ...], int]:
+    """Descent sets of the run-sorted permutations of [n], positions
+    counted from the end (position j is n - j), with their counts: peel
+    the first run, with weight C(n-1, i) - 1 for a tail of length i."""
+    out = {(): 1}
+    for i in range(1, n - 1):
+        w = comb(n - 1, i) - 1
+        for des, c in descent_counts_from_end_by_first_run(i).items():
+            out[des + (i,)] = out.get(des + (i,), 0) + w * c
+    return out
+
+
+def descent_multivar_by_first_run(n: int) -> MPoly:
+    """Oracle for :func:`descent_multivar`: the first-run recursion,
+    relabelled to absolute positions."""
+    return MPoly({
+        monomial_from_set(n - v for v in des): c
+        for des, c in descent_counts_from_end_by_first_run(n).items()
+    })
+
+
+def descent_multivar_by_partitions(n: int) -> MPoly:
+    """Oracle for :func:`descent_multivar`: sum over the set partitions of
+    [n-1] through the run-sorted bijection."""
+    out: dict[Monomial, int] = {}
+    for p in bj.enumerate_set_partitions(n - 1):
+        key = monomial_from_set(bj.partition_descents(p))
+        out[key] = out.get(key, 0) + 1
+    return MPoly(out)
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def eulerian_multivar_by_enumeration(n: int) -> MPoly:
@@ -94,6 +133,11 @@ class TestPoly:
         assert (t**3).derivative() == 3 * t * t
         assert Poly([1, 11, 3])(2) == 35
 
+    def test_pow_refuses_negative_exponent(self):
+        assert Poly([1, 1]) ** 0 == Poly([1])
+        with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+            Poly([1, 1]) ** -2
+
     def test_trimming_and_degree(self):
         assert Poly([1, 0, 0]).degree == 0
         assert Poly([]).degree == -1
@@ -130,29 +174,24 @@ class TestPoly:
 
 class TestMPoly:
     def test_basics(self):
-        x2 = MPoly.from_set([2])
-        one = MPoly.const(1)
-        assert (one + x2).to_json() == [
+        assert MPoly({(): 1, ((2, 1),): 1}).to_json() == [
             {"exponents": [], "coeff": 1},
             {"exponents": [[2, 1]], "coeff": 1},
         ]
-        assert x2 * x2 == MPoly({(((2, 2)),): 1}) or (x2 * x2).terms == {((2, 2),): 1}
 
     def test_relabel_and_specialize(self):
-        p = MPoly.from_set([1, 2], 3)
-        q = p.relabel({1: 5, 2: 7})
-        assert q == MPoly.from_set([5, 7], 3)
+        p = MPoly({((1, 1), (2, 1)): 3})
         assert p.ray_restriction([1] * 2) == Poly([0, 0, 3])
 
     def test_ray_restriction(self):
-        p = MPoly.const(1) + MPoly.from_set([2])
+        p = MPoly({(): 1, ((2, 1),): 1})
         lam = [Fraction(1), Fraction(3, 2)]
         assert p.ray_restriction(lam) == Poly([1, Fraction(3, 2)])
         with pytest.raises(ValueError):
             p.ray_restriction([Fraction(1)])
 
     def test_ray_restriction_refuses_inexact_coefficients(self):
-        p = MPoly.const(1) + MPoly.from_set([1], 0.5)
+        p = MPoly({(): 1, ((1, 1),): 0.5})
         with pytest.raises(ValueError, match="coefficient 0.5 is not"):
             p.ray_restriction([Fraction(1)])
 
@@ -184,14 +223,17 @@ class TestDescentFamilies:
             assert p(1) == len(list(perms.enumerate_runsorted(n))) if n <= 8 else True
 
     def test_multivar_three_routes(self):
-        for n in range(1, 10):
-            rec1 = descent_multivar_from_end_by_first_run(n)
-            reck = descent_multivar_from_end(n)
-            assert rec1 == reck
-            if n <= 8:
-                enum = descent_multivar_by_enumeration(n).relabel({j: n - j for j in range(1, n)})
-                assert rec1 == enum
-            assert rec1.ray_restriction([1] * n) == runsorted_descent_poly(n)
+        for n in range(1, 15):
+            got = descent_multivar(n)
+            assert got == descent_multivar_by_first_run(n), n
+            if n <= 9:
+                assert got == descent_multivar_by_partitions(n), n
+
+    def test_multivar_fibonacci_terms_and_all_ones_ray(self):
+        for n in range(1, 21):
+            got = descent_multivar(n)
+            assert len(got.terms) == fibonacci(n), n
+            assert got.ray_restriction([1] * n) == runsorted_descent_poly(n), n
 
     def test_multivar_equals_enumeration(self):
         for n in range(1, 9):
@@ -200,10 +242,8 @@ class TestDescentFamilies:
             assert all(type(c) is int for c in got.terms.values())
 
     def test_multivar_small_values(self):
-        assert descent_multivar_from_end(1) == MPoly.const(1)
-        assert descent_multivar_from_end(3) == MPoly.const(1) + MPoly.from_set([1])
-        assert descent_multivar(3) == MPoly.const(1) + MPoly.from_set([2])
-        assert descent_multivar(1) == MPoly.const(1)
+        assert descent_multivar(3) == MPoly({(): 1, ((2, 1),): 1})
+        assert descent_multivar(1) == MPoly({(): 1})
         for n in range(1, 8):
             assert descent_multivar(n).ray_restriction([1] * n) == runsorted_descent_poly(n)
 
@@ -248,8 +288,8 @@ class TestPeaks:
             assert peak_multivar(n).ray_restriction([1] * n) == peak_poly(n)
 
     def test_multivar_small(self):
-        assert peak_multivar(1) == MPoly.const(1)
-        assert peak_multivar(3) == MPoly.const(4) + 2 * MPoly.from_set([3])
+        assert peak_multivar(1) == MPoly({(): 1})
+        assert peak_multivar(3) == MPoly({(): 4, ((3, 1),): 2})
 
     def test_multivar_past_the_cap(self, monkeypatch):
         monkeypatch.setenv("RSLAB_MAX_N", "16")
@@ -294,8 +334,6 @@ def test_enumeration_cross_check_tables():
     [
         peak_multivar,
         descent_multivar,
-        descent_multivar_from_end,
-        descent_multivar_from_end_by_first_run,
         eulerian_multivar,
     ],
     ids=lambda f: f.__name__,
