@@ -1,6 +1,8 @@
 """
 Command-line front end: statistics on single inputs, table reproduction,
-verification suites, and scatter-data generation.
+verification suites, and scatter-data generation.  Each verify suite is
+declared once, in ``_SUITES``, with the defaults of exactly the flags it
+reads; they follow the suite name, and any other flag is a usage error.
 
 Exit codes: 0 all checks pass, 1 an assertion failed, 2 usage or parse
 error, 3 a sampled stability scan found a counterexample (a finding, not
@@ -23,7 +25,7 @@ from . import perms
 from . import realroot as rr
 from . import series as sr
 from . import stats as st
-from .polynomials import peak_poly, runsorted_descent_poly
+from .polynomials import FAMILIES
 
 SCHEMA = 1
 
@@ -121,13 +123,13 @@ def cmd_stat(args: argparse.Namespace) -> int:
 
 def _check_max_n(args: argparse.Namespace) -> None:
     """Refuse a negative ``--max-n``, which would check nothing."""
-    if args.max_n is not None and args.max_n < 0:
+    if args.max_n < 0:
         raise ValueError("max-n must be non-negative")
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
     _check_max_n(args)
-    make = runsorted_descent_poly if args.which == "A" else peak_poly
+    make = FAMILIES["A" if args.which == "A" else "B"]
     rows = {n: make(n) for n in range(1, args.max_n + 1)}
     report = {
         "schema": SCHEMA,
@@ -157,7 +159,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_eta(args) -> dict:
-    n = 7 if args.n is None else args.n
+    n = args.n
     table = bj.build_peak_transport(n)
     bad = []
     for sig, img in table.items():
@@ -168,15 +170,14 @@ def _suite_eta(args) -> dict:
 
 
 def _suite_interlacing(args) -> dict:
-    n_max = 25 if args.max_n is None else args.max_n
-    rep = rr.verify_interlacing_family("R" if args.family is None else args.family, n_max)
+    rep = rr.verify_interlacing_family(args.family, args.max_n)
     rep["n_failures"] = len(rep["failures"])
     return rep
 
 
 def _suite_same_phase(args) -> dict:
-    family = "Q" if args.family is None else args.family
-    n_max = 8 if args.max_n is None else args.max_n
+    if args.parallel < 1:
+        raise ValueError("parallel must be at least 1")
     samples = args.samples
     if samples < 0:
         raise ValueError("samples must be non-negative")
@@ -190,7 +191,7 @@ def _suite_same_phase(args) -> dict:
     workers = max(1, min(args.parallel, cpus))
     chunk = max(1, (samples + workers - 1) // workers)
     jobs = [
-        (family, n_max, min(chunk, samples - start), args.seed, start)
+        (args.family, args.max_n, min(chunk, samples - start), args.seed, start)
         for start in range(0, max(samples, 1), chunk)
     ]
     if len(jobs) > 1:
@@ -206,7 +207,7 @@ def _suite_same_phase(args) -> dict:
 
 
 def _suite_egf(args) -> dict:
-    order = 11 if args.order is None else args.order
+    order = args.order
     if order < 0:
         raise ValueError("order must be non-negative")
     reports = {
@@ -222,7 +223,7 @@ def _suite_egf(args) -> dict:
 
 
 def _suite_binary(args) -> dict:
-    top = 10 if args.max_n is None else args.max_n
+    top = args.max_n
     problems = []
     table = bw.product_count_table(top, top)
     for tot in range(0, top + 1):
@@ -260,7 +261,7 @@ def _suite_mip(args) -> dict:
         pairs = [(args.a, args.b)]
         top = args.a + args.b
     else:
-        top = 10 if args.max_n is None else args.max_n
+        top = args.max_n
         pairs = [(a, tot - a) for tot in range(top + 1) for a in range(tot + 1)]
     table = bw.product_count_table(top, top)
     for a, b in pairs:
@@ -268,18 +269,19 @@ def _suite_mip(args) -> dict:
         want = table[a][b] if ((a >= 1 and b >= 1) or a + b == 0) else 0
         if got != want:
             bad.append({"a": a, "b": b, "got": got, "want": want})
-    return {"max_n": top, "verdict": not bad, "n_failures": len(bad), "failures": bad}
+    cell = {} if args.a is None else {"cell": [args.a, args.b]}
+    return {"max_n": top, "verdict": not bad, "n_failures": len(bad), "failures": bad, **cell}
 
 
 def _suite_golden(args) -> dict:
-    ids = [args.id] if args.id else sorted(st.GOLDEN)
+    ids = sorted(st.GOLDEN) if args.id is None else [args.id]
     reports = [st.golden_check(i) for i in ids]
     return {"verdict": all(r["ok"] for r in reports),
             "n_failures": sum(1 for r in reports if not r["ok"]), "reports": reports}
 
 
 def _suite_admissibility(args) -> dict:
-    top = (7 if args.max_n is None else args.max_n) - 1
+    top = args.max_n - 1
     perms.check_cap(max(top, 1))
     bad = []
     for m in range(2, top + 1):
@@ -296,23 +298,26 @@ def _suite_admissibility(args) -> dict:
     return {"max_n": top + 1, "verdict": not bad, "n_failures": len(bad), "failures": bad[:10]}
 
 
+# each suite: its body, and {flag: default} for exactly the flags it
+# reads (``--family`` and ``--id`` take a name, the rest an integer)
 _SUITES = {
-    "eta": _suite_eta,
-    "interlacing": _suite_interlacing,
-    "same-phase": _suite_same_phase,
-    "egf": _suite_egf,
-    "binary": _suite_binary,
-    "mip": _suite_mip,
-    "golden": _suite_golden,
-    "admissibility": _suite_admissibility,
+    "eta": (_suite_eta, {"n": 7}),
+    "interlacing": (_suite_interlacing, {"family": "R", "max_n": 25}),
+    "same-phase": (_suite_same_phase,
+                   {"family": "Q", "max_n": 8, "samples": 100, "seed": 0, "parallel": 1}),
+    "egf": (_suite_egf, {"order": 11}),
+    "binary": (_suite_binary, {"max_n": 10}),
+    "mip": (_suite_mip, {"max_n": 10, "a": None, "b": None}),
+    "golden": (_suite_golden, {"id": None}),
+    "admissibility": (_suite_admissibility, {"max_n": 7}),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_max_n(args)
-    if args.parallel < 1:
-        raise ValueError("parallel must be at least 1")
-    report = {"schema": SCHEMA, "suite": args.suite, **_SUITES[args.suite](args)}
+    run, flags = _SUITES[args.suite]
+    if "max_n" in flags:
+        _check_max_n(args)
+    report = {"schema": SCHEMA, "suite": args.suite, **run(args)}
     ok = report["verdict"]
     human = f"{args.suite}: {'pass' if ok else 'FAIL'}"
     if not ok:
@@ -356,19 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=cmd_tables)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=sorted(_SUITES))
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--max-n", type=int, default=None)
-    p_ver.add_argument("--a", type=int, default=None)
-    p_ver.add_argument("--b", type=int, default=None)
-    p_ver.add_argument("--order", type=int, default=None)
-    p_ver.add_argument("--samples", type=int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--family", default=None)
-    p_ver.add_argument("--id", default=None)
-    p_ver.add_argument("--parallel", type=int, default=1)
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    suites = p_ver.add_subparsers(dest="suite", required=True)
+    for name, (_, flags) in sorted(_SUITES.items()):
+        p_suite = suites.add_parser(name)
+        for flag, default in flags.items():
+            p_suite.add_argument("--" + flag.replace("_", "-"), default=default,
+                                 type=str if flag in ("family", "id") else int)
+        common(p_suite)
+        p_suite.set_defaults(func=cmd_verify)
 
     p_fig = sub.add_parser("figure", help="scatter CSV of a run-sorted random permutation")
     p_fig.add_argument("--n", type=int, required=True)

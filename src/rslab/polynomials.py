@@ -472,3 +472,16 @@ def peak_multivar(n: int) -> MPoly:
                 nxt[key] = nxt.get(key, 0) + 2 * c
         counts = nxt
     return MPoly({monomial_from_set(peaks): c for peaks, c in counts.items()})
+
+
+# the univariate families that verify_interlacing_family walks, and the
+# multivariate ones of conjecture_scan with the code seeding their rays
+FAMILIES = {"A": runsorted_descent_poly, "R": run_count_poly, "B": peak_poly, "E": eulerian_poly}
+MULTIVAR_FAMILIES = {"Q": (descent_multivar, 1), "E": (eulerian_multivar, 2), "B": (peak_multivar, 3)}
+
+
+def lookup_family(table: Mapping, name: str):
+    """The entry of ``name`` in ``FAMILIES`` or ``MULTIVAR_FAMILIES``."""
+    if name not in table:
+        raise ValueError(f"unknown family {name!r}; choose from {sorted(table)}")
+    return table[name]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .polynomials import MPoly, Poly, _check_exact
+from .polynomials import FAMILIES, MULTIVAR_FAMILIES, MPoly, Poly, _check_exact, lookup_family
 from .prng import SplitMix64, rational_in_0_10
 
 NEG_INF = "-inf"
@@ -333,17 +333,7 @@ def verify_interlacing_family(family: str, n_max: int = 25) -> dict:
     failing pair is reported, as ``interlaces(f, g).to_json()`` with its
     float witness; a passing family isolates no root.
     """
-    from .polynomials import eulerian_poly, peak_poly, run_count_poly, runsorted_descent_poly
-
-    makers = {
-        "A": runsorted_descent_poly,
-        "R": run_count_poly,
-        "B": peak_poly,
-        "E": eulerian_poly,
-    }
-    if family not in makers:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(makers)}")
-    make = makers[family]
+    make = lookup_family(FAMILIES, family)
     failures = []
     # each member is checked once: make(1) as interlaces' f, every later
     # member as its g, in the order interlaces itself would first refuse
@@ -426,13 +416,7 @@ def conjecture_scan(
     polynomial ("B").  A failure is a reportable finding: the offending
     ray and restriction are returned in full, never swallowed.
     """
-    from .polynomials import descent_multivar, eulerian_multivar, peak_multivar
-
-    makers = {"Q": descent_multivar, "E": eulerian_multivar, "B": peak_multivar}
-    if family not in makers:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(makers)}")
-    make = makers[family]
-    family_code = {"Q": 1, "E": 2, "B": 3}[family]
+    make, family_code = lookup_family(MULTIVAR_FAMILIES, family)
     failures = []
     cache: dict[int, MPoly] = {}
     for n in range(1, n_max + 1):

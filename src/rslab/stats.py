@@ -178,6 +178,7 @@ def golden_check(seq_id: str) -> dict:
     if seq_id not in GOLDEN:
         raise ValueError(f"unknown golden id {seq_id!r}; have {sorted(GOLDEN)}")
     entry = GOLDEN[seq_id]
+    cross_checked = True
     if seq_id == "A124324":
         computed = [run_count_triangle(n + 1)[n] for n in range(len(entry["rows"]))]
         expected = entry["rows"]
@@ -193,12 +194,13 @@ def golden_check(seq_id: str) -> dict:
     else:  # A090806
         computed = [maj_pair_count(k, k) for k in range(len(entry["values"]))]
         table = product_count_table(len(entry["values"]) - 1, len(entry["values"]) - 1)
-        assert computed == [table[k][k] for k in range(len(entry["values"]))]
+        # the maj-pair counts must also be the product formula's diagonal
+        cross_checked = computed == [table[k][k] for k in range(len(entry["values"]))]
         expected = entry["values"]
     return {
         "schema": 1,
         "id": seq_id,
-        "ok": computed == expected,
+        "ok": cross_checked and computed == expected,
         "computed": computed,
         "expected": expected,
     }

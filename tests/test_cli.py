@@ -1,9 +1,13 @@
 """Command-line interface: outputs, formats, exit codes."""
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from rslab.cli import main
+from rslab.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -83,6 +87,38 @@ def test_verify_golden_single_id(capsys):
     assert data["reports"][0]["expected"][:3] == [2, 10, 54]
 
 
+def test_verify_golden_refuses_empty_id(capsys):
+    # '' is an id to look up, not "no --id given"
+    code, out, err = run(capsys, "verify", "golden", "--id", "")
+    assert code == 2 and out == "" and "unknown golden id ''" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eta", "--max-n", "9"),
+    ("golden", "--family", "Z"),
+    ("egf", "--max-n", "4"),
+    ("interlacing", "--parallel", "2"),
+    ("admissibility", "--samples", "5"),
+    ("binary", "--order", "3"),
+])
+def test_verify_refuses_flags_the_suite_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("rslab ")]
+    assert len(commands) >= 12
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
 def test_verify_eta_small(capsys):
     code, out, _ = run(capsys, "verify", "eta", "--n", "5")
     assert code == 0 and "pass" in out
@@ -104,6 +140,14 @@ def test_verify_egf(capsys):
 def test_verify_mip(capsys):
     code, out, _ = run(capsys, "verify", "mip", "--max-n", "7")
     assert code == 0
+
+
+def test_verify_mip_single_cell_names_its_cell(capsys):
+    code, out, _ = run(capsys, "verify", "mip", "--a", "4", "--b", "3", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["cell"] == [4, 3] and data["max_n"] == 7
+    code, out, _ = run(capsys, "verify", "mip", "--max-n", "7", "--format", "json")
+    assert code == 0 and "cell" not in json.loads(out)
 
 
 def test_verify_mip_refuses_negative_counts(capsys):

@@ -199,7 +199,7 @@ def test_family_failure_reports_the_public_verdict(monkeypatch):
     from rslab import polynomials
 
     below, above = Poly([1, 1]), Poly([3, 1]) * Poly([4, 1])
-    monkeypatch.setattr(polynomials, "run_count_poly", lambda n: below if n == 1 else above)
+    monkeypatch.setitem(polynomials.FAMILIES, "R", lambda n: below if n == 1 else above)
     rep = rr.verify_interlacing_family("R", 2)
     assert not rep["verdict"]
     assert rep["failures"] == [{"n": 2, "report": rr.interlaces(below, above).to_json()}]
@@ -213,7 +213,7 @@ def test_family_refusal_names_the_first_bad_member(monkeypatch, bad_n, name):
     def make(n):
         return Poly([1, 0, 1]) if n == bad_n else run_count_poly(n)
 
-    monkeypatch.setattr(polynomials, "run_count_poly", make)
+    monkeypatch.setitem(polynomials.FAMILIES, "R", make)
     # the text interlaces gives on the pair that first holds the bad member
     with pytest.raises(ValueError, match=f"^{name} is not real-rooted"):
         rr.interlaces(make(max(bad_n - 1, 1)), make(max(bad_n, 2)))

@@ -41,6 +41,18 @@ def test_golden_all():
         st.golden_check("A000000")
 
 
+def test_golden_diagonal_cross_check_is_reported(monkeypatch):
+    # a product table that disagrees with the maj-pair counts fails the
+    # check as a verdict, not as an assertion that ``python -O`` skips
+    def skewed(a_max, b_max):
+        return [[1] * (b_max + 1) for _ in range(a_max + 1)]
+
+    monkeypatch.setattr(st, "product_count_table", skewed)
+    rep = st.golden_check("A090806")
+    assert rep["ok"] is False
+    assert rep["computed"] == rep["expected"]
+
+
 def test_golden_shapes():
     assert st.GOLDEN["A202365"]["values"][0] == 2
     assert st.GOLDEN["A000125"]["values"][3] == 8
