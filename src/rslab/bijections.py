@@ -33,9 +33,11 @@ which builds the preimage.
 
 ``eta`` stitches the two insertions together into an explicit bijection
 of S_n that maps the peak-value set onto the sorted peak-value set while
-preserving the set of run starts: it peels one permutation by
-``peak_insert_inverse`` and rebuilds its image by ``lex_peak_insert``.
-``build_peak_transport`` tabulates it over S_n.
+preserving the set of run starts.  One step of the recursion takes a
+parent in S_{n-1} and its image to the images of the parent's children.
+``eta`` peels one permutation by ``peak_insert_inverse`` and replays one
+branch of that step per level; ``build_peak_transport`` applies it to
+every entry of the table of S_{n-1} to get the table of S_n.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ from typing import Iterator, Sequence
 from .perms import (
     CapExceeded,
     Word,
+    check_cap,
     enumerate_sn,
     is_permutation,
     is_runsorted,
@@ -514,7 +517,7 @@ def flip_tails(a: int, p: Sequence[int]) -> Word:
 def _flip_tails(a: int, p: Word, rr: LexRuns) -> Word:
     """``flip_tails`` on the caller's ``rr = _lex_runs(p)``, for a residual
     anchor a."""
-    occ = runs_positions(p)
+    ends = {s: e for _, s, e in rr}
     i = p.index(a)
     k = p[i + 1]
     a_run = next((w, s, e) for w, s, e in rr if s <= i < e)
@@ -529,14 +532,11 @@ def _flip_tails(a: int, p: Word, rr: LexRuns) -> Word:
     if top <= k:
         raise AssertionError("residual pair must have letters above k in a's run")
 
-    def chain_end(run_stop: int, threshold: int) -> int:
-        """Last position of the maximal chain of runs after run_stop whose
-        first letters all exceed threshold."""
-        j = next(jj for jj, (s, e) in enumerate(occ) if e == run_stop) + 1
-        stop = run_stop
-        while j < len(occ) and p[occ[j][0]] > threshold:
-            stop = occ[j][1]
-            j += 1
+    def chain_end(stop: int, threshold: int) -> int:
+        """Last position of the maximal chain of runs after the run ending
+        at stop whose first letters all exceed threshold."""
+        while stop in ends and p[stop] > threshold:
+            stop = ends[stop]
         return stop
 
     s1_start, s1_stop = i + 2, chain_end(a_run[2], em)
@@ -666,31 +666,20 @@ def _anchor_matching(sig: Word, img: Word, img_view: CaseView) -> dict[Anchor, A
     return {a: a2 for key, lhs in left.items() for a, a2 in zip(lhs, right[key])}
 
 
-TransportMemo = dict[Word, tuple[Word, dict[Anchor, Anchor], LexRuns, CaseView]]
-
-
-def _eta(sigma: Word, memo: TransportMemo) -> Word:
+def _transport_step(
+    parent: Word, image: Word, anchors: Sequence[Anchor]
+) -> Iterator[tuple[Word, Word]]:
     """
-    ``eta`` without the input check; ``memo`` maps every parent met so far
-    to its image, its anchor matching, and the image's ``_lex_runs`` and
-    sorted view, so that each image's runs are sorted once for all its
-    children.  The memo may be shared across calls.
+    One step of the insertion recursion: the children
+    ``insert_after(a, parent)`` for a in ``anchors``, each with its image
+    under the transport, given ``image``, the image of ``parent``.  The
+    image's runs are sorted, and the anchors matched, once for all of them.
     """
-    anchors: list[Anchor] = []
-    parent = sigma
-    while len(parent) > 1 and parent not in memo:
-        a, parent = peak_insert_inverse(parent)
-        anchors.append(a)
-    image = memo[parent][0] if parent in memo else parent
-    for a in reversed(anchors):
-        if parent not in memo:
-            rr = _lex_runs(image)
-            view = _sorted_view(rr)
-            memo[parent] = image, _anchor_matching(parent, image, view), rr, view
-        _, matching, rr, view = memo[parent]
-        image = _lex_insert(matching[a], image, rr, view)[0]
-        parent = insert_after(a, parent)
-    return image
+    rr = _lex_runs(image)
+    view = _sorted_view(rr)
+    matching = _anchor_matching(parent, image, view)
+    for a in anchors:
+        yield insert_after(a, parent), _lex_insert(matching[a], image, rr, view)[0]
 
 
 def eta(sigma: Sequence[int]) -> Word:
@@ -706,23 +695,35 @@ def eta(sigma: Sequence[int]) -> Word:
     >>> eta((6, 4, 1, 3, 2, 5, 7))
     (6, 7, 4, 5, 1, 3, 2)
     """
-    sigma = tuple(sigma)
-    if not is_permutation(sigma):
-        raise ValueError(f"not a permutation: {sigma}")
-    return _eta(sigma, {})
+    parent = tuple(sigma)
+    if not is_permutation(parent):
+        raise ValueError(f"not a permutation: {parent}")
+    anchors: list[Anchor] = []
+    while len(parent) > 1:
+        a, parent = peak_insert_inverse(parent)
+        anchors.append(a)
+    image = parent
+    for a in reversed(anchors):
+        [(parent, image)] = _transport_step(parent, image, [a])
+    return image
 
 
 def build_peak_transport(n: int) -> dict[Word, Word]:
     """
-    The table {sigma: eta(sigma)} over S_n, with one memo shared by all
-    n! calls.  The table holds n! entries, so it stops at
-    n = TRANSPORT_CAP whatever the general cap.
+    The table {sigma: eta(sigma)} over S_n, in ``enumerate_sn`` order,
+    built level by level: the table of S_m holds the children of each
+    entry of the table of S_{m-1}.  The table holds n! entries, so it
+    stops at n = TRANSPORT_CAP whatever the general cap.
     """
     if n > TRANSPORT_CAP:
         raise CapExceeded(f"refusing to enumerate S_{n}: cap is {TRANSPORT_CAP} "
                           "(this route holds n! objects in memory)")
-    memo: TransportMemo = {}
-    return {sig: _eta(sig, memo) for sig in enumerate_sn(n)}
+    check_cap(n)
+    table = {(1,): (1,)}
+    for m in range(2, n + 1):
+        table = {child: img for parent, image in table.items()
+                 for child, img in _transport_step(parent, image, anchor_labels(m))}
+    return {sig: table[sig] for sig in enumerate_sn(n)}
 
 
 def transport_to_csv(table: dict[Word, Word], path: str) -> None:

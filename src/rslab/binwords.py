@@ -353,23 +353,16 @@ def roselle_identity_check(z_order: int = 4, q_order: int = 6, t_order: int = 6)
 
     rhs = z_pair_product_table(z_order, q_order, t_order)
 
-    ok = lhs == rhs
-    first_diff = None
-    if not ok:
-        for zi in range(z_order + 1):
-            for qi in range(q_order + 1):
-                for ti in range(t_order + 1):
-                    if lhs[zi][qi][ti] != rhs[zi][qi][ti]:
-                        first_diff = {
-                            "z": zi, "q": qi, "t": ti,
-                            "lhs": lhs[zi][qi][ti], "rhs": rhs[zi][qi][ti],
-                        }
-                        break
-                if first_diff:
-                    break
-            if first_diff:
-                break
-    return {"orders": [z_order, q_order, t_order], "ok": ok, "first_diff": first_diff}
+    first_diff = next(
+        ({"z": zi, "q": qi, "t": ti, "lhs": lhs[zi][qi][ti], "rhs": rhs[zi][qi][ti]}
+         for zi in range(z_order + 1)
+         for qi in range(q_order + 1)
+         for ti in range(t_order + 1)
+         if lhs[zi][qi][ti] != rhs[zi][qi][ti]),
+        None,
+    )
+    return {"orders": [z_order, q_order, t_order], "ok": first_diff is None,
+            "first_diff": first_diff}
 
 
 # ---------------------------------------------------------------------------

@@ -360,8 +360,6 @@ def eulerian_poly(n: int) -> Poly:
         for k, c in enumerate(row):
             new[k] += (k + 1) * c
             new[k + 1] += (m - 1 - k) * c
-        while new and new[-1] == 0:
-            new.pop()
         row = new
     return Poly(row)
 
@@ -407,8 +405,6 @@ def peak_triangle(n_max: int) -> list[list[int]]:
             a = prev[k] if k < len(prev) else 0
             b = prev[k - 1] if 0 <= k - 1 < len(prev) else 0
             row.append((2 * k + 2) * a + (n - 2 * (k - 1) - 2) * b)
-        while row and row[-1] == 0:
-            row.pop()
         rows.append(row)
     return rows
 

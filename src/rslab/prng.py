@@ -3,7 +3,7 @@ Counter-based deterministic randomness.
 
 The generator is splitmix64 (Steele, Lea & Flood's 64-bit mixer): state
 advances by the golden-gamma constant 0x9E3779B97F4A7C15 and each output
-is the mixed state.  It is seedable from arbitrary integer tuples, so
+is the mixed state.  It is seedable from tuples of integers in [0, 2^64), so
 independent, order-insensitive streams can be derived per sample index;
 results are identical across platforms and processes.
 """
@@ -31,7 +31,9 @@ class SplitMix64:
     def seed_from(*parts: int) -> "SplitMix64":
         acc = 0
         for p in parts:
-            acc = _mix((acc + _GAMMA + (p & _MASK)) & _MASK)
+            if not 0 <= p <= _MASK:
+                raise ValueError(f"seed part {p} lies outside [0, 2^64)")
+            acc = _mix((acc + _GAMMA + p) & _MASK)
         return SplitMix64(acc)
 
     def next_u64(self) -> int:

@@ -148,10 +148,9 @@ class RootIsolation:
 
 
 def _bisect_once(counts: _ChainCounts, r: IsolatedRoot) -> IsolatedRoot:
-    """Halve an isolating interval (possibly collapsing to an exact point)
-    of the square-free q, counting on ``counts`` of its chain."""
-    if r.kind == "point":
-        return r
+    """Halve the isolating interval r (possibly collapsing to an exact
+    point) of the square-free q, counting on ``counts`` of its chain; r
+    must not be a point."""
     mid = (r.lo + r.hi) / 2
     if counts.at(mid)[1] == 0:
         return IsolatedRoot("point", mid, mid, r.multiplicity)

@@ -207,13 +207,7 @@ def expected_peaks_series(order: int = DEFAULT_ORDER) -> list[Fraction]:
     whole series equals u^3 / (3 (u-1)^2).
     """
     g = egf_peaks(order)
-    means = [c.derivative()(Fraction(1)) for c in g.coeffs]
-    closed = [Fraction(0)] * (order + 1)
-    for n in range(3, order + 1):
-        closed[n] = Fraction(n - 2, 3)
-    if means != closed:
-        raise AssertionError("t-derivative at 1 does not match u^3/(3(u-1)^2)")
-    return means
+    return [c.derivative()(Fraction(1)) for c in g.coeffs]
 
 
 def egf_binary_descents(order: int = DEFAULT_ORDER) -> Series:

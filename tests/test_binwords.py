@@ -237,6 +237,22 @@ class TestRoselle:
         rep = bw.roselle_identity_check(0, 3, 3)
         assert rep["ok"]
 
+    def test_first_diff_in_z_q_t_order(self, monkeypatch):
+        table = bw.z_pair_product_table
+
+        def perturbed(*orders):
+            rhs = table(*orders)
+            rhs[3][0][0] += 1
+            rhs[2][5][4] += 2
+            return rhs
+
+        monkeypatch.setattr(bw, "z_pair_product_table", perturbed)
+        rep = bw.roselle_identity_check(4, 6, 6)
+        lhs = table(4, 6, 6)[2][5][4]  # the identity holds without the change
+        assert rep == {"orders": [4, 6, 6], "ok": False, "first_diff": {
+            "z": 2, "q": 5, "t": 4, "lhs": lhs, "rhs": lhs + 2,
+        }}
+
 
 def descents_after_runsort(w: str) -> int:
     """

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rslab import perms
 from rslab.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -108,6 +109,26 @@ def test_verify_refuses_flags_the_suite_does_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_verify_unknown_flag_shows_the_suite_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "eta", "--max-n", "9"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: rslab verify eta")
+    assert err.endswith("rslab verify eta: error: unrecognized arguments: --max-n 9\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", [
+    ("verify", "same-phase", "--max-n", "3", "--samples", "2"),
+    ("figure", "--n", "5"),
+])
+def test_seeds_outside_64_bits_refused(capsys, argv, seed):
+    code, out, err = run(capsys, *argv, "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == f"error: seed part {seed} lies outside [0, 2^64)\n"
+
+
 def test_readme_command_lines_parse():
     text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -135,6 +156,68 @@ def test_verify_interlacing(capsys):
 def test_verify_egf(capsys):
     code, out, _ = run(capsys, "verify", "egf", "--order", "8")
     assert code == 0
+
+
+def test_verify_egf_reports_a_wrong_mean(capsys, monkeypatch):
+    from rslab import series as sr
+
+    monkeypatch.setattr(sr, "expected_peaks_series", lambda order: [0] * (order + 1))
+    code, out, _ = run(capsys, "verify", "egf", "--order", "8", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["verdict"] is False and data["n_failures"] == 1
+    assert set(data["reports"]) == {"runsorted", "peaks", "binary", "sheffer"}
+
+
+def test_verify_eta_reports_failure_rows(capsys, monkeypatch):
+    from rslab import bijections as bj
+
+    # the identity fails on 213 and 231, the two words of S_3 eta moves
+    monkeypatch.setattr(bj, "build_peak_transport",
+                        lambda n: {p: p for p in perms.enumerate_sn(n)})
+    code, out, _ = run(capsys, "verify", "eta", "--n", "3", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["verdict"] is False and data["n_failures"] == 2
+    assert data["failures"] == [[[2, 1, 3], [2, 1, 3]], [[2, 3, 1], [2, 3, 1]]]
+
+
+def test_verify_binary_reports_problem_rows(capsys, monkeypatch):
+    from rslab import binwords as bw
+
+    count = bw.count_runsorted_words
+    monkeypatch.setattr(bw, "count_runsorted_words",
+                        lambda a, b: count(a, b) + ((a, b) == (1, 1)))
+    monkeypatch.setattr(bw, "symmetric_fixed_words", lambda n: [])
+    monkeypatch.setattr(bw, "roselle_identity_check", lambda *orders: {"ok": False})
+    code, out, _ = run(capsys, "verify", "binary", "--max-n", "2", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["verdict"] is False
+    cell = {"a": 1, "b": 1, "rsw": count(1, 1) + 1, "gf": count(1, 1), "mip": count(1, 1)}
+    fixed = [{"fixed_points_n": n} for n in range(13)]
+    assert data["failures"] == [cell, *fixed, {"roselle": {"ok": False}}]
+    assert data["n_failures"] == 15
+
+
+def test_verify_mip_reports_mismatch(capsys, monkeypatch):
+    from rslab import binwords as bw
+
+    monkeypatch.setattr(bw, "maj_pair_count", lambda a, b: -1)
+    code, out, _ = run(capsys, "verify", "mip", "--a", "2", "--b", "1", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["verdict"] is False and data["cell"] == [2, 1]
+    assert data["failures"] == [{"a": 2, "b": 1, "got": -1, "want": 1}]
+    assert data["n_failures"] == 1
+
+
+def test_verify_admissibility_reports_slope_mismatch(capsys, monkeypatch):
+    from rslab import bijections as bj
+
+    monkeypatch.setattr(bj, "slope_admissible_by_definition", lambda p, a: None)
+    code, out, _ = run(capsys, "verify", "admissibility", "--max-n", "4", "--format", "json")
+    data = json.loads(out)
+    assert code == 1 and data["n_failures"] > 0
+    for row in data["failures"]:
+        assert row["kind"] == "slope" and set(row) == {"kind", "p", "a"}
+        assert row["a"] in perms.slope_set(tuple(row["p"]))
 
 
 def test_verify_mip(capsys):

@@ -70,6 +70,10 @@ class TestSturm:
 
 
 class TestIsolation:
+    def test_no_real_root(self):
+        iso = rr.isolate_real_roots(Poly([1, 0, 1]), width=Fraction(1, 8))
+        assert iso.roots == [] and iso.square_free == Poly([1, 0, 1])
+
     def test_simple(self):
         iso = rr.isolate_real_roots(Poly([0, 1]) * Poly([1, 1]))
         assert len(iso.roots) == 2

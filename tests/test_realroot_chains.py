@@ -206,6 +206,19 @@ def test_family_failure_reports_the_public_verdict(monkeypatch):
     assert rep["failures"][0]["report"]["witness"]
 
 
+def test_family_failure_on_a_degree_jump(monkeypatch):
+    from rslab import polynomials
+
+    # (t+1)^(2n): degrees 2, 4, 6 jump by two at every step
+    monkeypatch.setitem(polynomials.FAMILIES, "R", lambda n: Poly([1, 1]) ** (2 * n))
+    rep = rr.verify_interlacing_family("R", 3)
+    assert not rep["verdict"]
+    assert [f["n"] for f in rep["failures"]] == [2, 3]
+    for f in rep["failures"]:
+        assert f["report"]["verdict"] is False and f["report"]["witness"] == []
+        assert f["report"]["reason"] == "degrees differ by more than one"
+
+
 @pytest.mark.parametrize("bad_n, name", [(1, "f"), (2, "g"), (5, "g")])
 def test_family_refusal_names_the_first_bad_member(monkeypatch, bad_n, name):
     from rslab import polynomials

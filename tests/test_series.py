@@ -10,6 +10,7 @@ from rslab.binwords import binary_descent_poly
 from rslab.polynomials import Poly, peak_poly, runsorted_descent_poly
 from rslab.series import (
     Series,
+    _egf_report,
     egf_binary_descents,
     egf_binary_report,
     egf_peaks,
@@ -104,6 +105,18 @@ def test_expected_peaks_series():
     assert means[8] == 2
     for n in range(2, 11):
         assert means[n] == Fraction(n - 2, 3)
+
+
+def test_egf_report_lists_each_mismatch():
+    # n! [u^n] of the runsorted EGF is the run-sorted descent polynomial of
+    # S_{n+1}; compared with that of S_n it differs from n = 2 on (both
+    # S_1 and S_2 give 1)
+    rep = _egf_report(4, egf_runsorted_descents(4), runsorted_descent_poly, first=1)
+    assert rep["order"] == 4 and rep["ok"] is False
+    assert [m["n"] for m in rep["mismatches"]] == [2, 3, 4]
+    for m in rep["mismatches"]:
+        assert m["got"] == runsorted_descent_poly(m["n"] + 1).to_json()
+        assert m["want"] == runsorted_descent_poly(m["n"]).to_json()
 
 
 def test_egf_binary():

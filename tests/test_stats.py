@@ -70,6 +70,16 @@ def test_splitmix_reference_values():
     ]
 
 
+@pytest.mark.parametrize("parts", [(-1,), (2**64,), (3, -1, 0)])
+def test_seed_parts_outside_64_bits_refused(parts):
+    with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+        SplitMix64.seed_from(*parts)
+
+
+def test_seed_parts_at_the_64_bit_ends():
+    assert SplitMix64.seed_from(0, 2**64 - 1).next_u64() != SplitMix64.seed_from(0).next_u64()
+
+
 def test_fisher_yates_uniform_small():
     from collections import Counter
 

@@ -58,7 +58,7 @@ def test_invariants_up_to_7():
 
 
 def test_eta_matches_table_up_to_7():
-    # each eta call starts from a fresh memo; the table shares one
+    # eta replays one branch of the step the table applies to every entry
     for n in range(1, 8):
         table = bj.build_peak_transport(n)
         assert all(bj.eta(sig) == img for sig, img in table.items())
@@ -124,6 +124,31 @@ def test_transport_sorts_each_parent_image_once(monkeypatch, n):
     monkeypatch.setattr(bj, "_lex_runs", lambda p: sorted_words.append(p) or lex_runs(p))
     bj.build_peak_transport(n)
     assert len(sorted_words) == len(set(sorted_words)) == sum(math.factorial(k) for k in range(1, n))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(bj, name)
+    monkeypatch.setattr(bj, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_transport_built_level_by_level(monkeypatch, n):
+    # one anchor matching per entry of the tables of S_1 .. S_{n-1}, and
+    # no permutation is peeled
+    matchings = _counting(monkeypatch, "_anchor_matching")
+    peels = _counting(monkeypatch, "peak_insert_inverse")
+    bj.build_peak_transport(n)
+    assert len(matchings) == sum(math.factorial(k) for k in range(1, n))
+    assert peels == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 40])
+def test_eta_matches_one_parent_per_level(monkeypatch, n):
+    matchings = _counting(monkeypatch, "_anchor_matching")
+    bj.eta(fisher_yates(n, SplitMix64.seed_from(2021, n)))
+    assert [len(sig) for sig, _, _ in matchings] == list(range(1, n))
 
 
 def test_cap():
