@@ -26,6 +26,7 @@ from . import realroot as rr
 from . import series as sr
 from . import stats as st
 from .polynomials import FAMILIES
+from .prng import SplitMix64
 
 SCHEMA = 1
 
@@ -181,6 +182,9 @@ def _suite_same_phase(args) -> dict:
     samples = args.samples
     if samples < 0:
         raise ValueError("samples must be non-negative")
+    # the scan draws from the seed only per sample; refuse a bad one here,
+    # before any shard starts, even when no sample is drawn
+    SplitMix64.seed_from(args.seed)
     # one shard per worker over consecutive sample ranges; at least one
     # shard, so that a scan of zero samples still reports, and no more
     # workers than usable CPUs

@@ -9,11 +9,17 @@ request down to a given width; within one isolation each Sturm chain is
 evaluated at most once at each point.  Interlacing is decided without
 isolating any root: one signed remainder sequence of the two polynomials,
 read at -inf and +inf, gives a Cauchy index.
+
+Every Sturm chain is built over the integers, as a primitive
+pseudo-remainder sequence: its members are positive multiples of the
+rational remainders, so they have the same signs everywhere, and the
+chain needs no rational division.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Literal, Sequence
 
 from .polynomials import FAMILIES, MULTIVAR_FAMILIES, MPoly, Poly, _check_exact, lookup_family
@@ -25,16 +31,55 @@ Endpoint = Fraction | Literal["-inf", "+inf"]
 
 
 def sturm_chain(p: Poly, q: Poly) -> list[Poly]:
-    """Signed remainder sequence p, q, then negated remainders down to
-    gcd(p, q).  Its sign variations from a to b give the Cauchy index of
-    q/p on (a, b]; with q = p' that is the number of distinct roots."""
+    """Signed remainder sequence p, q, then positive multiples of the
+    negated remainders down to gcd(p, q).  Its sign variations from a to b
+    give the Cauchy index of q/p on (a, b]; with q = p' that is the number
+    of distinct roots.
+
+    The members past q form Collins' primitive pseudo-remainder sequence
+    over the integers: p and q are scaled to primitive integer
+    polynomials, and each member is the negated pseudo-remainder
+    |lc(b)|^(deg a - deg b + 1) * a mod b of the two before it, divided by
+    its content.  Every factor is positive, so signs, and with them every
+    count, are those of the rational remainder sequence."""
     chain = [p, q]
-    while chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero():
+    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+    while len(b) > 1:
+        rem = _pseudo_remainder(a, b)
+        if not rem:
             break
-        chain.append(-rem)
+        content = gcd(*rem)
+        a, b = b, [-c // content for c in rem]
+        chain.append(Poly(b))
     return chain
+
+
+def _primitive(coeffs: Sequence[int | Fraction]) -> list[int]:
+    """The positive multiple with integer coefficients and content 1."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints) or 1
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^(deg a - deg b + 1) * a mod b, trimmed (a itself when
+    deg a < deg b); b has degree at least 1."""
+    lead = b[-1]
+    scale, sign = abs(lead), 1 if lead > 0 else -1
+    db = len(b) - 1
+    rem = list(a)
+    for i in range(len(rem) - 1, db - 1, -1):
+        top = sign * rem.pop()
+        if scale != 1:
+            rem = [scale * c for c in rem]
+        if top:
+            shift = i - db
+            for k in range(db):
+                rem[shift + k] -= top * b[k]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
 def _sign_at(p: Poly, x: Endpoint) -> int:

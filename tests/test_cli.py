@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rslab import perms
+from rslab import realroot as rr
 from rslab.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -127,6 +128,21 @@ def test_seeds_outside_64_bits_refused(capsys, argv, seed):
     code, out, err = run(capsys, *argv, "--seed", seed)
     assert code == 2 and out == ""
     assert err == f"error: seed part {seed} lies outside [0, 2^64)\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("extra", [
+    ("--samples", "0"),
+    ("--samples", "0", "--parallel", "2"),
+    ("--samples", "4", "--parallel", "2"),
+])
+def test_same_phase_refuses_a_bad_seed_before_scanning(capsys, monkeypatch, extra, seed):
+    scans = []
+    monkeypatch.setattr(rr, "conjecture_scan", lambda *a: scans.append(a))
+    code, out, err = run(capsys, "verify", "same-phase", "--max-n", "3", *extra, "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == f"error: seed part {seed} lies outside [0, 2^64)\n"
+    assert scans == []
 
 
 def test_readme_command_lines_parse():
