@@ -133,45 +133,11 @@ class Poly:
         """Multiply by t."""
         return Poly([0] + list(self.coeffs))
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact rational Euclidean division."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in other.coeffs]
-        dq = len(rem) - len(div)
-        quo = [Fraction(0)] * (dq + 1 if dq >= 0 else 0)
-        lead = div[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(div) - 1] / lead
-            quo[i] = c
-            if c:
-                for j, d in enumerate(div):
-                    rem[i + j] -= c * d
-        return Poly(quo), Poly(rem[: len(div) - 1])
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError(f"{self.human()} is not divisible by {other.human()}")
-        return q
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
         return Poly([Fraction(c, 1) / lead for c in self.coeffs])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def square_free(self) -> "Poly":
-        if self.degree <= 0:
-            return self.monic()
-        return self.exact_div(self.gcd(self.derivative())).monic()
 
     def human(self) -> str:
         """Descending-degree ASCII rendering, e.g. ``3t^2+11t+1``."""

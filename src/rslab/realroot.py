@@ -82,6 +82,19 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials a and primitive b that divides a:
+    by Gauss's lemma every quotient coefficient is an integer."""
+    rem = list(a)
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + db] // b[-1]
+        for k in range(db):
+            rem[i + k] -= c * b[k]
+    return quo
+
+
 def _sign_at(p: Poly, x: Endpoint) -> int:
     if p.is_zero():
         return 0
@@ -194,8 +207,8 @@ class RootIsolation:
 
 def _bisect_once(counts: _ChainCounts, r: IsolatedRoot) -> IsolatedRoot:
     """Halve the isolating interval r (possibly collapsing to an exact
-    point) of the square-free q, counting on ``counts`` of its chain; r
-    must not be a point."""
+    point), counting the distinct roots of p on ``counts`` of its chain
+    (p, p', ...); r must not be a point."""
     mid = (r.lo + r.hi) / 2
     if counts.at(mid)[1] == 0:
         return IsolatedRoot("point", mid, mid, r.multiplicity)
@@ -210,10 +223,16 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
     roots of p, each labelled with its multiplicity; optionally refined
     until intervals are narrower than ``width``, which must be positive.
 
-    One Sturm chain is built for the square-free part and one for each
-    multiplicity layer.  Every count reads those chains, and each chain
-    is evaluated at most once at each point: the bisection, the
-    multiplicity counts and the width refinement share its values.
+    One layer loop builds every chain: the chain of p itself, (p, p', ...),
+    ends in g = gcd(p, p'); the chain of g ends in gcd(g, g'); and so on
+    down to a constant.  p's chain counts the distinct roots: between two
+    points that are not roots of p, the sign variations it loses are the
+    distinct roots in between, as ``is_real_rooted`` reads them.  The
+    later layers give the multiplicities.
+    Every count reads those chains, and each chain is evaluated at most
+    once at each point: the bisection, the multiplicity counts and the
+    width refinement share its values.  The square-free part p / g comes
+    from an exact division over the integers.
     """
     if width is not None and width <= 0:
         raise ValueError("width must be positive")
@@ -221,10 +240,16 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
         raise ValueError("zero polynomial has no root count")
     if p.degree == 0:
         return RootIsolation(poly=p, square_free=p.monic())
-    g = p.gcd(p.derivative())
-    q = p.exact_div(g).monic()
+    layers = []
+    layer = p
+    while layer.degree > 0:
+        chain = sturm_chain(layer, layer.derivative())
+        layers.append(_ChainCounts(chain))
+        layer = chain[-1].monic()
+    counts = layers[0]
+    g = counts.chain[-1]
+    q = Poly(_exact_quotient(_primitive(p.coeffs), _primitive(g.coeffs))).monic()
     out = RootIsolation(poly=p, square_free=q)
-    counts = _ChainCounts(sturm_chain(q, q.derivative()))
     total = counts.count(NEG_INF, POS_INF)
     if total == 0:
         return out
@@ -249,17 +274,9 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
         left = counts.count(a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, cnt - left))
-    # multiplicities through the repeated-gcd layers g = gcd(p, p'),
-    # gcd(g, g'), ...: each layer's chain ends in the next layer
-    layers = []
-    layer = g
-    while layer.degree > 0:
-        chain = sturm_chain(layer, layer.derivative())
-        layers.append(_ChainCounts(chain))
-        layer = chain[-1].monic()
     for r in found:
         r.multiplicity = 1
-        for layer_counts in layers:
+        for layer_counts in layers[1:]:
             if layer_counts.count(r.lo, r.hi) == 0:
                 break
             r.multiplicity += 1

@@ -217,13 +217,14 @@ def egf_binary_descents(order: int = DEFAULT_ORDER) -> Series:
     of length-n binary words.
 
     Divided by r, the bracket has [u^j] = t^floor(j/2) / j!, plus (t-1)
-    at j = 0 and j = 1.
+    at j = 0 and j = 1; divided by t as well, [u^j] is 1 for j < 2 and
+    t^(floor(j/2) - 1) / j! from j = 2 on.
     """
     t = Poly.t()
-    bracket = Series(
-        [t ** (j // 2) / factorial(j) + (t - 1 if j < 2 else Poly()) for j in range(order + 1)]
+    bracket_over_t = Series(
+        [Poly.const(1) if j < 2 else t ** (j // 2 - 1) / factorial(j) for j in range(order + 1)]
     )
-    return _poly_series(exp_u(order)) * bracket.map(lambda p: p.exact_div(t))
+    return _poly_series(exp_u(order)) * bracket_over_t
 
 
 def egf_binary_report(order: int = DEFAULT_ORDER) -> dict:

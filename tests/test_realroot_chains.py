@@ -6,6 +6,8 @@ The interlacing verdict reads the undivided chain of f and g, and the
 "root above 0" check reads coefficient signs; both must agree with the
 gcd-divided and the Sturm routes.
 """
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,8 @@ from rslab.polynomials import (
     runsorted_descent_poly,
 )
 from rslab.prng import SplitMix64
+
+import euclid_oracle as euclid
 from test_realroot import _positive_root_count
 
 
@@ -34,7 +38,7 @@ def isolate_by_recount(p, width=None):
     for every count: the bisection, each root's multiplicity layers and
     each width refinement step.  Returns (square-free part, roots as
     (kind, lo, hi, multiplicity) tuples in ascending order)."""
-    q = p.square_free()
+    q = euclid.square_free(p)
     total = rr.count_real_roots(q)
     if total == 0:
         return q, []
@@ -58,7 +62,7 @@ def isolate_by_recount(p, width=None):
         stack.append((mid, b, cnt - left))
     layers = []
     layer = p.monic()
-    while (layer := layer.gcd(layer.derivative())).degree > 0:
+    while (layer := euclid.gcd(layer, layer.derivative())).degree > 0:
         layers.append(layer)
     for r in found:
         for layer in layers:
@@ -80,7 +84,7 @@ def isolate_by_recount(p, width=None):
 
 
 def real_rooted_by_square_free(p):
-    q = p.square_free()
+    q = euclid.square_free(p)
     return rr.count_real_roots(q) == q.degree
 
 
@@ -113,6 +117,9 @@ def as_tuples(iso):
 
 def test_isolation_matches_recount_oracle():
     inputs = list(family_members()) + list(random_products(6001, 80))
+    # negative and fractional leading coefficients
+    inputs += ([-p for p in inputs[::2]] + [p * Fraction(-2, 7) for p in inputs[1::4]]
+               + [p * Fraction(5, 3) for p in inputs[3::4]])
     for p in inputs:
         for width in (None, Fraction(1, 1000)):
             q, want = isolate_by_recount(p, width)
@@ -150,8 +157,8 @@ def test_isolation_builds_one_chain_per_counted_polynomial(monkeypatch):
     iso = rr.isolate_real_roots(p, width=Fraction(1, 10**6))
     assert sum(r.kind == "interval" for r in iso.roots) >= 4  # 20+ steps each
     assert sorted(r.multiplicity for r in iso.roots) == [1, 1, 1, 2, 3, 3]
-    # q, then the layers gcd(p, p') and (t^2 - 2)
-    assert built == [iso.square_free, p.gcd(p.derivative()), Poly([-2, 0, 1]).monic()]
+    # p itself, then the layers gcd(p, p') and (t^2 - 2)
+    assert built == [p, euclid.gcd(p, p.derivative()), Poly([-2, 0, 1]).monic()]
 
 
 def test_real_rooted_builds_one_chain(monkeypatch):
@@ -271,17 +278,19 @@ def interlace_by_gcd(f, g):
     Returns (verdict, reason) as ``interlaces`` reports them."""
     if abs(f.degree - g.degree) > 1:
         return False, "degrees differ by more than one"
-    h = f.gcd(g)
-    f1, g1 = f.exact_div(h), g.exact_div(h)
+    h = euclid.gcd(f, g)
+    f1, g1 = euclid.exact_div(f, h), euclid.exact_div(g, h)
     top, low = (f1, g1) if f1.degree > g1.degree else (g1, f1)
     chain = rr.sturm_chain(top, low)
     ok = rr._variations(chain, rr.NEG_INF)[0] - rr._variations(chain, rr.POS_INF)[0] == top.degree
     return ok, "chain holds" if ok else "chain violated"
 
 
-def family_pairs():
-    for make, top in ((run_count_poly, 22), (runsorted_descent_poly, 22),
-                      (peak_poly, 22), (eulerian_poly, 15)):
+def family_pairs(top_rab=22, top_e=15):
+    """Consecutive members of R, A, B (to ``top_rab``) and E (to
+    ``top_e``), in both orders."""
+    for make, top in ((run_count_poly, top_rab), (runsorted_descent_poly, top_rab),
+                      (peak_poly, top_rab), (eulerian_poly, top_e)):
         members = [make(n) for n in range(1, top + 1)]
         for f, g in zip(members, members[1:]):
             yield f, g
@@ -314,6 +323,31 @@ def test_interlace_verdict_matches_gcd_route():
         assert (rep.verdict, rep.reason) == interlace_by_gcd(f, g), (f.human(), g.human())
         verdicts[rep.verdict] += 1
     assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
+
+
+def zero_rooted_pairs(seed, count):
+    """Pairs of products over one shared pool of non-positive rationals
+    that always holds 0, so that roots are shared and repeated."""
+    rng = SplitMix64.seed_from(seed)
+    for _ in range(count):
+        pool = [Fraction(0)] + [Fraction(-rng.below(12), 1 + rng.below(4))
+                                for _ in range(1 + rng.below(3))]
+        f, g = (poly_from_roots([pool[rng.below(len(pool))] for _ in range(1 + rng.below(6))],
+                                lead=1 + rng.below(3)) for _ in range(2))
+        yield f, g
+
+
+@pytest.mark.parametrize("pairs, digest", [
+    (lambda: family_pairs(top_rab=14, top_e=12),
+     "282269620679b04357719a16987f5e7541c6d5dd87a09aeaf648915d294dced4"),
+    (lambda: zero_rooted_pairs(6006, 300),
+     "2bdc253669952aa6fdbe9f66b718c4a56244db19449334024e45e217d03e2e48"),
+], ids=["families", "zero_rooted_pairs"])
+def test_interlace_reports_keep_their_bytes(pairs, digest):
+    # the float witnesses are read by people only, and no verdict pins
+    # them: the digests of whole reports keep them byte-stable
+    reports = [rr.interlaces(f, g).to_json() for f, g in pairs()]
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == digest
 
 
 def test_descartes_matches_sturm_on_real_rooted_inputs():

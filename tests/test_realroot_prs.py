@@ -14,6 +14,8 @@ import pytest
 from rslab import realroot as rr
 from rslab.polynomials import MULTIVAR_FAMILIES, Poly
 from rslab.prng import SplitMix64
+
+import euclid_oracle as euclid
 from test_realroot_chains import family_pairs, random_products, random_root_pairs
 
 
@@ -22,7 +24,7 @@ def sturm_chain_over_q(p, q):
     the negated remainders down to gcd(p, q)."""
     chain = [p, q]
     while chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
+        rem = euclid.divmod(chain[-2], chain[-1])[1]
         if rem.is_zero():
             break
         chain.append(-rem)
@@ -91,9 +93,11 @@ def test_chain_is_positive_multiple_of_euclid_over_q(inputs, least):
 
 
 def test_chain_divides_no_polynomial(monkeypatch):
+    # Poly divides by no polynomial; Euclid lives in the oracle only
+    assert not any(hasattr(Poly, name) for name in ("divmod", "exact_div", "gcd", "square_free"))
     calls = []
-    divmod_ = Poly.divmod
-    monkeypatch.setattr(Poly, "divmod", lambda a, b: calls.append(a) or divmod_(a, b))
+    divmod_ = euclid.divmod
+    monkeypatch.setattr(euclid, "divmod", lambda a, b: calls.append(a) or divmod_(a, b))
     sturm_chain_over_q(Poly([1, 3, 1]), Poly([3, 2]))
     assert calls  # the counter sees the oracle's divisions
     calls.clear()

@@ -125,8 +125,3 @@ def test_egf_binary():
         assert g.coeffs[n] * factorial(n) == binary_descent_poly(n)
     assert egf_binary_report(12)["ok"]
 
-
-def test_egf_binary_divisibility_guard():
-    # dividing a polynomial with a non-zero remainder by t must fail loudly
-    with pytest.raises(ValueError):
-        Poly([1, 1]).exact_div(Poly.t())
