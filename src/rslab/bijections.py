@@ -31,10 +31,16 @@ branch from the runs of p, and every case-5 route takes its verdict;
 the tests check its swap-image verdict against ``swap_tail_inverse``,
 which builds the preimage.
 
+One function, ``_insert_case``, decides the five cases for both maps,
+on a view built once per word: the word the rule reads, its peak values,
+and the letter after each letter of p.  It also gives the letter a case
+turns on, and for case 5 the new run start k when a < k.
+
 ``eta`` stitches the two insertions together into an explicit bijection
 of S_n that maps the peak-value set onto the sorted peak-value set while
 preserving the set of run starts.  One step of the recursion takes a
-parent in S_{n-1} and its image to the images of the parent's children.
+parent in S_{n-1} and its image to the images of the parent's children;
+it pairs the anchors of the two by the case rule's own output.
 ``eta`` peels one permutation by ``peak_insert_inverse`` and replays one
 branch of that step per level; ``build_peak_transport`` applies it to
 every entry of the table of S_{n-1} to get the table of S_n.
@@ -42,7 +48,7 @@ every entry of the table of S_{n-1} to get the table of S_n.
 from __future__ import annotations
 
 import csv
-from itertools import chain
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .perms import (
@@ -166,23 +172,16 @@ def runsorted_to_partition(sigma: Sequence[int]) -> SetPartition:
     sigma = tuple(sigma)
     if not (is_permutation(sigma) and is_runsorted(sigma) and sigma[0] == 1):
         raise ValueError("need a run-sorted permutation starting with 1")
+    # the blocks come in the order of their minima, each written with its
+    # minimum last, so a block ends at the least letter not yet placed:
+    # at each letter below every letter after it
     w = [v - 1 for v in sigma[1:]]
-    n = len(w)
-    taken = [False] * n
-    blocks: list[tuple[int, ...]] = []
-    for d in range(n - 1):
-        if w[d] <= w[d + 1]:
-            continue
-        # the block ends with its minimum w[d+1]; its other members are the
-        # increasing stretch just before it whose letters all exceed it
-        b1 = w[d + 1]
-        s = d
-        while s - 1 >= 0 and w[s - 1] < w[s] and w[s - 1] > b1:
-            s -= 1
-        blocks.append(tuple(sorted(w[s : d + 2])))
-        for j in range(s, d + 2):
-            taken[j] = True
-    blocks.extend((w[j],) for j in range(n) if not taken[j])
+    least_from = list(accumulate(reversed(w), min))[::-1]
+    blocks, start = [], 0
+    for j, x in enumerate(w):
+        if x == least_from[j]:
+            blocks.append(w[start : j + 1])
+            start = j + 1
     out = canonical_partition(blocks)
     if partition_to_runsorted(out) != sigma:
         raise AssertionError(f"round trip failed for {sigma}")
@@ -218,39 +217,47 @@ def insert_after(a: Anchor, p: Sequence[int]) -> Word:
     return p[: i + 1] + (n,) + p[i + 1 :]
 
 
-CaseView = tuple[Word, set[int]]
+CaseView = tuple[Word, set[int], dict[int, int | None]]
 
 
 def _case_view(kind: str, p: Word) -> CaseView:
     """
-    The word w the five-case rule reads, with its peak values: w = p for
-    kind = "peaks" (``peak_insert``), w = runsort(p) for kind = "sorted"
-    (``lex_peak_insert``).  It serves every anchor of p.
+    Everything the five-case rule reads for the anchors of p: the word w
+    it reads, with its peak values, where w = p for kind = "peaks"
+    (``peak_insert``) and w = runsort(p) for kind = "sorted"
+    (``lex_peak_insert``); and the letter after each letter of p (None
+    after the last one).
     """
     if kind not in ("peaks", "sorted"):
         raise ValueError("kind must be 'peaks' or 'sorted'")
-    return (p, peak_values(p)) if kind == "peaks" else _sorted_view(_lex_runs(p))
+    if kind == "sorted":
+        return _sorted_view(p, _lex_runs(p))
+    return p, peak_values(p), dict(zip(p, p[1:] + (None,)))
 
 
-def _insert_case(a: Anchor, p: Word, view: CaseView) -> tuple[int, int | None]:
+def _insert_case(a: Anchor, view: CaseView) -> tuple[int, int | None]:
     """
-    The five-case rule of the insertion maps, read on the word w of
-    ``view = (w, peak_values(w))``, together with the letter the case
-    turns on: a for case 3, the traded peak value for case 4, the letter
-    after a in p for case 5 (None when a ends p), None otherwise.
+    The five-case rule of the insertion maps on ``view = _case_view(kind,
+    p)``, together with the letter the case turns on: a for case 3, the
+    traded peak value for case 4, and for case 5 the letter k after a in p
+    when a < k (k then starts a new run of the image), None otherwise.
 
     Case 4 trades the letter after a in w, which is also the letter after a
     in p: a run start is never a peak of runsort(p).
     """
     if isinstance(a, _Front):
         return 1, None
-    w, peaks = view
+    w, peaks, after = view
     if a == w[-1]:
         return 2, None
     if a in peaks:
         return 3, a
-    k = _successor(p, a)
-    return (4 if k in peaks else 5), k
+    if a not in after:
+        raise ValueError(f"anchor {a} is not a letter of the word")
+    k = after[a]
+    if k in peaks:
+        return 4, k
+    return 5, (k if k is not None and a < k else None)
 
 
 def peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
@@ -259,7 +266,7 @@ def peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     applies for the plain peak-value update.
     """
     p = tuple(p)
-    return insert_after(a, p), _insert_case(a, p, _case_view("peaks", p))[0]
+    return insert_after(a, p), _insert_case(a, _case_view("peaks", p))[0]
 
 
 def peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
@@ -275,23 +282,18 @@ LexRuns = list[tuple[Word, int, int]]
 
 def _lex_runs(p: Word) -> LexRuns:
     """(run word, start, stop) triples sorted lexicographically by word."""
-    return sorted((p[s:e], s, e) for s, e in runs_positions(p))
+    return sorted([(p[s:e], s, e) for s, e in runs_positions(p)])
 
 
 def _joined(rr: LexRuns) -> Word:
     """runsort(p), read off ``rr = _lex_runs(p)``."""
-    return tuple(chain.from_iterable(w for w, _, _ in rr))
+    return tuple([x for w, _, _ in rr for x in w])
 
 
-def _sorted_view(rr: LexRuns) -> CaseView:
+def _sorted_view(p: Word, rr: LexRuns) -> CaseView:
     """``_case_view("sorted", p)`` read off ``rr = _lex_runs(p)``."""
     w = _joined(rr)
-    return w, peak_values(w)
-
-
-def _successor(p: Word, a: int) -> int | None:
-    i = p.index(a)
-    return p[i + 1] if i + 1 < len(p) else None
+    return w, peak_values(w), dict(zip(p, p[1:] + (None,)))
 
 
 def is_peak_admissible(p: Sequence[int], a: int) -> bool:
@@ -304,8 +306,8 @@ def is_peak_admissible(p: Sequence[int], a: int) -> bool:
     """
     p = tuple(p)
     rr = _lex_runs(p)
-    k = _successor(p, a)
-    if k not in peak_values(_joined(rr)):
+    case, k = _insert_case(a, _sorted_view(p, rr))
+    if case != 4:
         raise ValueError("needs the letter after a to be a sorted peak value")
     return _peak_admissible(k, rr)
 
@@ -324,9 +326,9 @@ def _peak_admissible(k: int, rr: LexRuns) -> bool:
 def peak_admissible_by_definition(p: Sequence[int], a: int) -> bool:
     """The defining condition itself, used as the oracle in verification."""
     p = tuple(p)
-    k = _successor(p, a)
+    i = p.index(a)
     n = len(p) + 1
-    return spv(insert_after(a, p)) == (spv(p) - {k}) | {n}
+    return spv(insert_after(a, p)) == (spv(p) - set(p[i + 1 : i + 2])) | {n}
 
 
 def swap_tail(a: int, p: Sequence[int]) -> Word:
@@ -338,8 +340,8 @@ def swap_tail(a: int, p: Sequence[int]) -> Word:
     """
     p = tuple(p)
     rr = _lex_runs(p)
-    k = _successor(p, a)
-    if k not in peak_values(_joined(rr)):
+    case, k = _insert_case(a, _sorted_view(p, rr))
+    if case != 4:
         raise ValueError("swap_tail: letter after a must be a sorted peak value")
     if _peak_admissible(k, rr):
         raise ValueError("swap_tail: pair is peak admissible, nothing to fix")
@@ -563,13 +565,13 @@ def lex_peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     """
     p = tuple(p)
     rr = _lex_runs(p)
-    return _lex_insert(a, p, rr, _sorted_view(rr))
+    return _lex_insert(a, p, rr, _sorted_view(p, rr))
 
 
 def _lex_insert(a: Anchor, p: Word, rr: LexRuns, view: CaseView) -> tuple[Word, int]:
     """``lex_peak_insert`` on the caller's ``rr = _lex_runs(p)`` and
-    ``view = _sorted_view(rr)``."""
-    case, k = _insert_case(a, p, view)
+    ``view = _sorted_view(p, rr)``."""
+    case, k = _insert_case(a, view)
     if case == 4 and not _peak_admissible(k, rr):
         p = _swap_tail(p, k, rr)
     elif case == 5:
@@ -615,10 +617,10 @@ def run_start_case(kind: str, a: Anchor, p: Sequence[int]) -> tuple[int, set[int
     """
     p = tuple(p)
     rs = run_starts(p)
-    case, k = _insert_case(a, p, _case_view(kind, p))
+    case, k = _insert_case(a, _case_view(kind, p))
     if case == 1:
         return case, rs | {len(p) + 1}
-    if case == 4 or (case == 5 and k is not None and a < k):
+    if case >= 4 and k is not None:
         return case, rs | {k}
     return case, rs
 
@@ -630,34 +632,23 @@ def run_start_case(kind: str, a: Anchor, p: Sequence[int]) -> tuple[int, set[int
 TRANSPORT_CAP = 9
 
 
-def _pairing_key(a: Anchor, p: Word, view: CaseView) -> tuple:
-    """
-    Bucket key for matching insertion labels across the two bijections.
-    Cases 1 and 2 are singletons; cases 3 and 4 must agree on the peak
-    value being traded; case 5 splits by whether a fresh run start k is
-    created (and then on which k), mirroring ``run_start_case``.
-    """
-    case, k = _insert_case(a, p, view)
-    if case == 5:
-        return (5, "new", k) if k is not None and a < k else (5, "keep")
-    return (case,) if k is None else (case, k)
-
-
 def _anchor_matching(sig: Word, img: Word, img_view: CaseView) -> dict[Anchor, Anchor]:
     """
     Match the insertion labels of sig (plain insertion) with those of its
     image img (lex insertion, read on ``img_view``, its sorted view):
-    bucket both by ``_pairing_key`` and pair them inside each bucket by
-    increasing anchor, which makes the matching deterministic.  Buckets of
-    unequal size would mean the invariants are broken, and raise
-    immediately.
+    bucket both by the case rule's own output, (case, letter), and pair
+    them inside each bucket by increasing anchor, which makes the matching
+    deterministic.  Cases 1 and 2 are singletons; cases 3 and 4 agree on
+    the peak value traded; case 5 splits on the new run start, as in
+    ``run_start_case``.  Buckets of unequal size would mean the invariants
+    are broken, and raise immediately.
     """
     left: dict[tuple, list[Anchor]] = {}
     right: dict[tuple, list[Anchor]] = {}
     sig_view = _case_view("peaks", sig)
     for a in anchor_labels(len(sig) + 1):
-        left.setdefault(_pairing_key(a, sig, sig_view), []).append(a)
-        right.setdefault(_pairing_key(a, img, img_view), []).append(a)
+        left.setdefault(_insert_case(a, sig_view), []).append(a)
+        right.setdefault(_insert_case(a, img_view), []).append(a)
     if {key: len(v) for key, v in left.items()} != {key: len(v) for key, v in right.items()}:
         raise AssertionError(
             f"internal invariant violation: anchor buckets differ "
@@ -676,7 +667,7 @@ def _transport_step(
     image's runs are sorted, and the anchors matched, once for all of them.
     """
     rr = _lex_runs(image)
-    view = _sorted_view(rr)
+    view = _sorted_view(image, rr)
     matching = _anchor_matching(parent, image, view)
     for a in anchors:
         yield insert_after(a, parent), _lex_insert(matching[a], image, rr, view)[0]

@@ -5,8 +5,9 @@ declared once, in ``_SUITES``, with the defaults of exactly the flags it
 reads; they follow the suite name, and any other flag is a usage error.
 
 Exit codes: 0 all checks pass, 1 an assertion failed, 2 usage or parse
-error, 3 a sampled stability scan found a counterexample (a finding, not
-a failure: the full witness is in the output).
+error or an output file that cannot be written, 3 a sampled stability
+scan found a counterexample (a finding, not a failure: the full witness
+is in the output).
 
 Every command is deterministic given its flags; JSON output carries a
 schema version and canonical ordering so reruns are byte-identical.
@@ -379,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="scatter CSV of a run-sorted random permutation")
     p_fig.add_argument("--n", type=int, required=True)
     p_fig.add_argument("--seed", type=int, default=0)
-    common(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
+    p_fig.add_argument("--out", metavar="PATH", default=None)
+    p_fig.set_defaults(parser=p_fig, func=cmd_figure)
 
     return top
 
@@ -393,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
-    except (ValueError, perms.CapExceeded) as exc:
+    except (ValueError, OSError, perms.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

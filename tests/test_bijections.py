@@ -194,9 +194,9 @@ class TestSwap:
         for m in range(2, 8):
             for p in itertools.permutations(range(1, m + 1)):
                 rr = bj._lex_runs(p)
-                view = bj._sorted_view(rr)
+                view = bj._sorted_view(p, rr)
                 for a in range(1, m + 1):
-                    if bj._insert_case(a, p, view)[0] != 5 or bj._case5_class(p, a, rr) is not None:
+                    if bj._insert_case(a, view)[0] != 5 or bj._case5_class(p, a, rr) is not None:
                         continue
                     pre = bj._swap_tail_inverse(a, p, rr)
                     assert pre is not None and pre == bj.swap_tail_inverse(a, p), (p, a)
@@ -368,6 +368,21 @@ class TestLexPeakInsert:
         p = (2, 1, 3)
         _, predicted = bj.run_start_case("sorted", bj.FRONT, p)
         assert predicted == run_starts(p) | {4}
+
+    @pytest.mark.parametrize("a", [0, 4])
+    def test_case_rule_refuses_an_anchor_outside_the_word(self, a):
+        # the rule reads the letter after a from a map, where a missing
+        # letter must not read as case 5
+        p = (2, 1, 3)
+        for route in (
+            lambda: bj.run_start_case("peaks", a, p),
+            lambda: bj.run_start_case("sorted", a, p),
+            lambda: bj.lex_peak_insert(a, p),
+            lambda: bj.is_peak_admissible(p, a),
+            lambda: bj.swap_tail(a, p),
+        ):
+            with pytest.raises(ValueError, match=f"^anchor {a} is not a letter of the word$"):
+                route()
 
 
 def test_residual_census_json():

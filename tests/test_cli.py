@@ -400,6 +400,26 @@ def test_figure_deterministic(tmp_path, capsys):
     assert len(p1.read_text().splitlines()) == 51
 
 
+def test_figure_refuses_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--n", "5", "--format", "json"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: rslab figure")
+    assert err.endswith("rslab figure: error: unrecognized arguments: --format json\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("figure", "--n", "5"),
+    ("verify", "eta", "--n", "3"),
+])
+def test_unwritable_out_is_an_error_not_a_failure(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["stat", "--which", "des"])  # neither --perm nor --word

@@ -177,11 +177,40 @@ def test_isolation_refuses_nonpositive_width(width):
 
 
 def test_family_members_checked_once(monkeypatch):
-    checked = []
-    is_real_rooted = rr.is_real_rooted
+    # member 1 is checked in full; every later member's interlacing chain
+    # against its predecessor proves it real-rooted, so each member gets
+    # exactly one chain
+    checked, built = [], []
+    is_real_rooted, sturm_chain = rr.is_real_rooted, rr.sturm_chain
     monkeypatch.setattr(rr, "is_real_rooted", lambda p: checked.append(p) or is_real_rooted(p))
+    monkeypatch.setattr(rr, "sturm_chain", lambda p, q: built.append(p) or sturm_chain(p, q))
     assert rr.verify_interlacing_family("R", 9)["verdict"]
-    assert checked == [run_count_poly(n) for n in range(1, 10)]
+    assert checked == [run_count_poly(1)]
+    assert built == [run_count_poly(n) for n in range(1, 10)]
+
+
+@pytest.mark.parametrize("g, text", [
+    (Poly([]), "g is the zero polynomial"),
+    (Poly([-1, -1]), "g must have a positive leading coefficient"),
+    (Poly([3, 1]) * Poly([-1, 1]), "g has a root above 0"),
+    (Poly([1, 0, 1]), "g is not real-rooted (is_real_rooted failed)"),
+])
+def test_family_refuses_a_bad_later_member_as_interlaces_does(monkeypatch, g, text):
+    from rslab import polynomials
+
+    f = Poly([2, 1])
+    monkeypatch.setitem(polynomials.FAMILIES, "R", lambda n: f if n == 1 else g)
+    with pytest.raises(ValueError) as want:
+        rr.interlaces(f, g)
+    assert str(want.value) == text
+    with pytest.raises(ValueError) as got:
+        rr.verify_interlacing_family("R", 2)
+    assert str(got.value) == text
+
+
+def test_a_member_with_a_root_above_0_can_interlace():
+    # (t+3)(t-1) interlaces t+2, so only the coefficient signs refuse it
+    assert rr._interlaces(Poly([2, 1]), Poly([3, 1]) * Poly([-1, 1]))
 
 
 def record_isolations(monkeypatch):

@@ -86,6 +86,20 @@ def test_eta_beyond_the_table(n):
     assert run_starts(sig) == run_starts(img)
 
 
+# recorded from the eta whose anchor keys scanned the word for the letter
+# after each anchor
+ETA_PINS = {
+    300: "02ff41e8336b96dc8b812fb46ac772845305c2f3ecec4104628f17e1daa30800",
+    1000: "f7ed594585e03c6752455fc504c1879aaf29a13ea67f92cdf9656758581d372e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ETA_PINS))
+def test_eta_pinned_beyond_the_table(n):
+    img = bj.eta(fisher_yates(n, SplitMix64.seed_from(23, n)))
+    assert hashlib.sha256(repr(img).encode()).hexdigest() == ETA_PINS[n]
+
+
 def test_eta_domain():
     assert bj.eta((1,)) == (1,)
     for bad in [(), (1, 1), (2, 3), (0, 1)]:
