@@ -12,7 +12,8 @@ of the word when a is FRONT):
 - ``lex_peak_insert`` tracks the peak-value set *after run-sorting* and
   must occasionally rearrange p first (``swap_tail``, its inverse, or
   ``flip_tails``) so that the sorted peak set updates by the same clean
-  five-case rule.
+  five-case rule.  For each anchor that repair is an involution of
+  S_{n-1}, so ``lex_peak_insert_inverse`` is the forward map on q's peel.
 
 The case analysis for the second map, with k the letter following a in
 ``runsort(p)``:
@@ -585,26 +586,25 @@ def _lex_insert(a: Anchor, p: Word, rr: LexRuns, view: CaseView) -> tuple[Word, 
 
 def lex_peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
     """
-    Invert ``lex_peak_insert`` by reading the anchor off the left of the
-    maximum and testing the (at most four) branch preimages.
+    Invert ``lex_peak_insert``.  For each anchor its repair of p is an
+    involution: ``swap_tail`` and ``_swap_tail_inverse`` exchange the
+    non-admissible case-4 pairs with the swap image, ``flip_tails`` is an
+    involution on the residual classes, and every other p stays fixed.  So
+    the preimage is the forward repair of q's peel, under one round trip.
+
+    >>> lex_peak_insert_inverse((5, 2, 6, 9, 7, 4, 3, 1, 8))
+    (6, (5, 2, 6, 7, 4, 3, 1, 8))
     """
     q = tuple(q)
-    a, p0 = peak_insert_inverse(q)
+    if not is_permutation(q):
+        raise ValueError(f"not a permutation: {q}")
+    a, p = peak_insert_inverse(q)
     if isinstance(a, _Front):
-        return a, p0
-    candidates: list[Word] = [p0]
-    pre = swap_tail_inverse(a, p0)
-    if pre is not None:
-        candidates.append(pre)
-    for rearrange in (swap_tail, flip_tails):
-        try:
-            candidates.append(rearrange(a, p0))
-        except (ValueError, IndexError):
-            pass
-    hits = [p for p in candidates if lex_peak_insert(a, p)[0] == q]
-    if len(hits) != 1:
-        raise AssertionError(f"non-unique inversion for {q}: {hits}")
-    return a, hits[0]
+        return a, p
+    p = peak_insert_inverse(lex_peak_insert(a, p)[0])[1]
+    if lex_peak_insert(a, p)[0] != q:
+        raise AssertionError(f"round trip failed for {q}")
+    return a, p
 
 
 def run_start_case(kind: str, a: Anchor, p: Sequence[int]) -> tuple[int, set[int]]:

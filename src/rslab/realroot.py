@@ -166,15 +166,12 @@ class _ChainCounts:
 
 
 def is_real_rooted(p: Poly) -> bool:
-    """True iff p has as many distinct real roots as its square-free part
-    has degree, both read off the one chain (p, p'): its last member is
-    gcd(p, p') up to a constant factor."""
+    """True iff p' interlaces p: the chain (p, p') counts the distinct
+    real roots of p and ends in gcd(p, p'), so its full Cauchy index is
+    the degree of the square-free part exactly when p is real-rooted."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return True
-    chain = sturm_chain(p, p.derivative())
-    return _ChainCounts(chain).count(NEG_INF, POS_INF) == p.degree - chain[-1].degree
+    return p.degree == 0 or _interlaces(p, p.derivative())
 
 
 def root_bound(p: Poly) -> Fraction:

@@ -72,12 +72,11 @@ def descent_at_two_sequence(n_max: int) -> list[int]:
 
 
 def descent_at_two_closed(n: int) -> int:
-    """Closed form (n-2)! (n+1) (n-2) / 2 for n >= 3."""
+    """Closed form (n-2)! (n+1) (n-2) / 2 for n >= 3; the product is even,
+    as (n-2)! is from n = 4 on and n = 3 gives 4."""
     if n < 3:
         raise ValueError("defined for n >= 3")
-    num = factorial(n - 2) * (n + 1) * (n - 2)
-    assert num % 2 == 0
-    return num // 2
+    return factorial(n - 2) * (n + 1) * (n - 2) // 2
 
 
 def descent_at_two_by_enumeration(n: int) -> int:

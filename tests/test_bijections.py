@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import pytest
 
@@ -338,7 +339,7 @@ class TestLexPeakInsert:
             assert len(seen) == math.factorial(n)
 
     def test_inverse_both_directions(self):
-        for n in range(2, 7):
+        for n in range(2, 9):
             for p in itertools.permutations(range(1, n)):
                 for a in bj.anchor_labels(n):
                     q, _ = bj.lex_peak_insert(a, p)
@@ -352,6 +353,12 @@ class TestLexPeakInsert:
         assert bj.lex_peak_insert_inverse(P("526974318")) == (6, P("52674318"))
         a, p = bj.lex_peak_insert_inverse((4, 2, 3, 1))
         assert a is bj.FRONT and p == (2, 3, 1)
+        assert bj.lex_peak_insert_inverse((5, 1, 2, 3, 4, 6)) == (4, (5, 1, 2, 3, 4))
+
+    @pytest.mark.parametrize("q", [(2, 1, 4, 5), (5, 1, 2, 2, 4, 6), (), (1, 1)])
+    def test_inverse_refuses_a_non_permutation(self, q):
+        with pytest.raises(ValueError, match=re.escape(f"not a permutation: {q}")):
+            bj.lex_peak_insert_inverse(q)
 
     def test_run_start_rules_both_kinds(self):
         for n in range(2, 8):

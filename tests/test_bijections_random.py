@@ -1,8 +1,8 @@
 """
 Randomised checks of the insertion bijections at sizes beyond the
-exhaustive range (n = 9..11): the five update formulas, run-start rules,
-and inverse round-trips must keep holding where full enumeration is no
-longer affordable.
+exhaustive range (n = 9..11, and 30 and 120 for the lex insertion): the
+five update formulas, run-start rules, and inverse round-trips must keep
+holding where full enumeration is no longer affordable.
 """
 from rslab import bijections as bj
 from rslab.perms import run_starts, runsort, spv
@@ -20,7 +20,7 @@ def _random_cases(n: int, count: int, seed: int):
 
 
 def test_lex_insert_random_large_n():
-    for n in (9, 10, 11):
+    for n in (9, 10, 11, 30, 120):
         for a, p in _random_cases(n, 400, seed=17):
             q, case = bj.lex_peak_insert(a, p)
             assert sorted(q) == list(range(1, n + 1))

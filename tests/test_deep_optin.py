@@ -36,6 +36,7 @@ def test_lex_insert_bijective_n9():
             q, case = bj.lex_peak_insert(a, p)
             assert q not in seen
             seen.add(q)
+            assert bj.lex_peak_insert_inverse(q) == (a, p)
             if case == 5:
                 assert perms.spv(q) == perms.spv(p) | {n}
     assert len(seen) == math.factorial(n)
