@@ -20,6 +20,12 @@ from .perms import check_cap, runs_positions
 from .polynomials import Poly
 
 
+def check_binary_word(w: str) -> None:
+    """Refuse a string with a letter other than "0" and "1"."""
+    if set(w) - {"0", "1"}:
+        raise ValueError(f"not a binary word: {w!r}")
+
+
 def bw_runs(w: str) -> list[str]:
     """Maximal weakly increasing segments, in occurrence order."""
     return [w[a:b] for a, b in runs_positions(w)] if w else []
@@ -31,8 +37,8 @@ def bw_runsort(w: str) -> str:
 
 
 def is_runsorted_word(w: str) -> bool:
-    rr = bw_runs(w)
-    return all(rr[i] <= rr[i + 1] for i in range(len(rr) - 1))
+    """Whether the runs of ``w`` are in lexicographic order: run-sorting fixes w."""
+    return bw_runsort(w) == w
 
 
 def run_blocks(w: str) -> list[tuple[int, int]]:
@@ -48,39 +54,23 @@ def enumerate_runsorted_words(a: int, b: int) -> Iterator[str]:
     With two or more runs, every run of such a word is 0^i 1^j with
     i, j >= 1 (an all-0 or all-1 run would merge into a neighbour), so the
     words correspond to multisets of such blocks; the pure words 0^a and
-    1^b are the only single-run exceptions.
+    1^b are the only single-run exceptions.  The blocks are appended in
+    lexicographic order, which is the order of (-i, j).
     """
     if a < 0 or b < 0:
         raise ValueError("counts must be non-negative")
-    if a == 0 and b == 0:
-        yield ""
-        return
-    if a == 0:
-        yield "1" * b
-        return
-    if b == 0:
-        yield "0" * a
+    if a * b == 0:
+        yield "0" * a + "1" * b
         return
 
-    def key(i: int, j: int) -> tuple[int, int]:
-        # lexicographic order on the block words 0^i 1^j
-        return (-i, j)
+    def rec(word: str, rem_a: int, rem_b: int, last_i: int, last_j: int) -> Iterator[str]:
+        if rem_a == rem_b == 0:
+            yield word
+        for i in range(min(rem_a, last_i), 0, -1):
+            for j in range(last_j if i == last_i else 1, rem_b + 1):
+                yield from rec(word + "0" * i + "1" * j, rem_a - i, rem_b - j, i, j)
 
-    def rec(rem_a: int, rem_b: int, min_key: tuple[int, int]) -> Iterator[list[tuple[int, int]]]:
-        if rem_a == 0 and rem_b == 0:
-            yield []
-            return
-        if rem_a == 0 or rem_b == 0:
-            return
-        for i in range(rem_a, 0, -1):
-            for j in range(1, rem_b + 1):
-                if key(i, j) < min_key:
-                    continue
-                for rest in rec(rem_a - i, rem_b - j, key(i, j)):
-                    yield [(i, j)] + rest
-
-    for blocks in rec(a, b, (-a, 0)):
-        yield "".join("0" * i + "1" * j for i, j in blocks)
+    yield from rec("", a, b, a, 1)
 
 
 def count_runsorted_words(a: int, b: int) -> int:
@@ -134,6 +124,7 @@ class Biword:
 
 def word_to_biword(w: str) -> Biword:
     """Column i holds the zero/one counts of the (r+1-i)-th run."""
+    check_binary_word(w)
     if not is_runsorted_word(w):
         raise ValueError(f"word is not run-sorted: {w!r}")
     return Biword(tuple(reversed(run_blocks(w))))
@@ -149,6 +140,7 @@ def biword_to_word(bw: Biword) -> str:
 
 def reverse_complement(w: str) -> str:
     """Reverse the word and swap 0 <-> 1."""
+    check_binary_word(w)
     return "".join("1" if c == "0" else "0" for c in reversed(w))
 
 
@@ -183,23 +175,16 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def partition_count(n: int) -> int:
-    """p(n) by the pentagonal-number recurrence (independent of partitions())."""
+    """
+    p(n), the coefficient of x^n in prod_{i <= n} 1/(1 - x^i) (independent
+    of partitions()).
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     p = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= m:
-                total += sign * p[m - g1]
-            if g2 <= m:
-                total += sign * p[m - g2]
-            k += 1
-        p[m] = total
+    for i in range(1, n + 1):
+        for x in range(i, n + 1):
+            p[x] += p[x - i]
     return p[n]
 
 
@@ -288,22 +273,14 @@ def maj_pair_count(a: int, b: int) -> int:
     return table[a][b]
 
 
-def _inv_pochhammer(n: int, order: int) -> list[int]:
-    """Series of prod_{i=1..n} 1/(1 - x^i) up to x^order."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    for i in range(1, n + 1):
-        for x in range(i, order + 1):
-            out[x] += out[x - i]
-    return out
-
-
 def z_pair_product_table(z_order: int, q_order: int, t_order: int) -> list:
     """
     Coefficients of prod_{i,j >= 0} 1/(1 - z q^i t^j) as a nested list
     indexed [z][q][t].  Unlike product_count_table this product includes
     the i = 0 and j = 0 factors, with z marking the number of columns.
     """
+    if min(z_order, q_order, t_order) < 0:
+        raise ValueError("orders must be non-negative")
     rhs = [
         [[0] * (t_order + 1) for _ in range(q_order + 1)] for _ in range(z_order + 1)
     ]
@@ -328,30 +305,21 @@ def roselle_identity_check(z_order: int = 4, q_order: int = 6, t_order: int = 6)
     with (q)_n = (1-q)(1-q^2)...(1-q^n).  Note the product here runs over
     i, j >= 0, unlike the positive-pair product in product_count_table.
     """
+    rhs = z_pair_product_table(z_order, q_order, t_order)
     lhs = [
         [[0] * (t_order + 1) for _ in range(q_order + 1)] for _ in range(z_order + 1)
     ]
-    for n in range(z_order + 1):
-        joint = maj_pair_table(n)
-        poch_q = _inv_pochhammer(n, q_order)
-        poch_t = _inv_pochhammer(n, t_order)
-        # (joint in q, t) * 1/(q)_n * 1/(t)_n
-        layer = [[0] * (t_order + 1) for _ in range(q_order + 1)]
-        for a, row in enumerate(joint):
-            if a > q_order:
-                break
-            for b, c in enumerate(row):
-                if b > t_order or c == 0:
-                    continue
-                for qa in range(a, q_order + 1):
-                    pq = poch_q[qa - a]
-                    if pq == 0:
-                        continue
-                    for tb in range(b, t_order + 1):
-                        layer[qa][tb] += c * pq * poch_t[tb - b]
-        lhs[n] = layer
-
-    rhs = z_pair_product_table(z_order, q_order, t_order)
+    for n, layer in enumerate(lhs):
+        # the joint table in (q, t), times 1/(q)_n and 1/(t)_n in place
+        for a, row in enumerate(maj_pair_table(n)[:q_order + 1]):
+            cut = row[:t_order + 1]
+            layer[a][:len(cut)] = cut
+        for i in range(1, n + 1):
+            for qa in range(i, q_order + 1):
+                layer[qa] = [x + y for x, y in zip(layer[qa], layer[qa - i])]
+            for row in layer:
+                for tb in range(i, t_order + 1):
+                    row[tb] += row[tb - i]
 
     first_diff = next(
         ({"z": zi, "q": qi, "t": ti, "lhs": lhs[zi][qi][ti], "rhs": rhs[zi][qi][ti]}
@@ -378,12 +346,8 @@ def binary_descent_poly(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = {0: comb(n + 1, 3) + (n + 1)}
-    for k in range(2, n + 1):
-        c = comb(n, 2 * k) + comb(n, 2 * k + 1)
-        if c:
-            coeffs[k - 1] = c
-    return Poly([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+    return Poly([comb(n + 1, 3) + n + 1]
+                + [comb(n, 2 * k) + comb(n, 2 * k + 1) for k in range(2, n + 1)])
 
 
 def expected_binary_descents(n: int) -> Fraction:

@@ -76,38 +76,33 @@ _WORD_STATS = ("runs", "runsort", "des", "maj", "inv")
 
 def cmd_stat(args: argparse.Namespace) -> int:
     which = args.which
-    try:
-        if args.perm is not None:
-            p = perms.parse_perm(args.perm)
-            values: dict[str, object] = {
-                "runs": "|".join(",".join(map(str, r)) for r in perms.runs(p)),
-                "runsort": perms.format_perm(perms.runsort(p)),
-                "des": perms.format_int_set(perms.descent_set(p)),
-                "pkv": perms.format_int_set(perms.peak_values(p)),
-                "spv": perms.format_int_set(perms.spv(p)),
-                "rs": perms.format_int_set(perms.run_starts(p)),
-                "maj": str(perms.maj(p)),
-                "inv": str(perms.inversions(p)),
-            }
-            source = args.perm
-        else:
-            w = args.word.strip()
-            if w and set(w) - {"0", "1"}:
-                raise ValueError(f"not a binary word: {w!r}")
-            letters = tuple(int(c) for c in w)
-            values = {
-                "runs": "|".join(bw.bw_runs(w)),
-                "runsort": bw.bw_runsort(w),
-                "des": perms.format_int_set(perms.descent_set(letters)),
-                "maj": str(perms.maj(letters)),
-                "inv": str(perms.inversions(letters)),
-            }
-            source = w
-        if which not in values:
-            raise ValueError(f"--which {which} not available for this input")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.perm is not None:
+        p = perms.parse_perm(args.perm)
+        values: dict[str, object] = {
+            "runs": "|".join(",".join(map(str, r)) for r in perms.runs(p)),
+            "runsort": perms.format_perm(perms.runsort(p)),
+            "des": perms.format_int_set(perms.descent_set(p)),
+            "pkv": perms.format_int_set(perms.peak_values(p)),
+            "spv": perms.format_int_set(perms.spv(p)),
+            "rs": perms.format_int_set(perms.run_starts(p)),
+            "maj": str(perms.maj(p)),
+            "inv": str(perms.inversions(p)),
+        }
+        source = args.perm
+    else:
+        w = args.word.strip()
+        bw.check_binary_word(w)
+        letters = tuple(int(c) for c in w)
+        values = {
+            "runs": "|".join(bw.bw_runs(w)),
+            "runsort": bw.bw_runsort(w),
+            "des": perms.format_int_set(perms.descent_set(letters)),
+            "maj": str(perms.maj(letters)),
+            "inv": str(perms.inversions(letters)),
+        }
+        source = w
+    if which not in values:
+        raise ValueError(f"--which {which} not available for this input")
     report = {"schema": SCHEMA, "input": source, "which": which, "value": values[which]}
     _emit_report(
         report,
@@ -238,10 +233,8 @@ def _suite_binary(args) -> dict:
             cnt = bw.count_runsorted_words(a, b)
             mip = bw.maj_pair_count(a, b)
             want = table[a][b]
-            if (a >= 1 and b >= 1) or tot == 0:
-                if not (cnt == want == mip):
-                    problems.append({"a": a, "b": b, "rsw": cnt, "gf": want, "mip": mip})
-            elif not (cnt == 1 and want == 0 and mip == 0):
+            pure = 1 if a * b == 0 < tot else 0
+            if not (cnt - pure == want == mip):
                 problems.append({"a": a, "b": b, "rsw": cnt, "gf": want, "mip": mip})
     for n in range(0, 13):
         if len(bw.symmetric_fixed_words(n)) != bw.partition_count(n):
@@ -272,7 +265,7 @@ def _suite_mip(args) -> dict:
     table = bw.product_count_table(top, top)
     for a, b in pairs:
         got = bw.maj_pair_count(a, b)
-        want = table[a][b] if ((a >= 1 and b >= 1) or a + b == 0) else 0
+        want = table[a][b]
         if got != want:
             bad.append({"a": a, "b": b, "got": got, "want": want})
     cell = {} if args.a is None else {"cell": [args.a, args.b]}

@@ -1,5 +1,7 @@
 """Run-sorted binary words, biwords, symmetry, counting identities."""
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,14 @@ class TestWords:
     def test_membership_example(self):
         assert "00011011011101111" in set(bw.enumerate_runsorted_words(6, 11))
 
+    def test_enumeration_order_pinned(self):
+        # the other tests compare sets; this pins the order the words stream in
+        words = [list(bw.enumerate_runsorted_words(a, tot - a))
+                 for tot in range(13) for a in range(tot + 1)]
+        assert hashlib.sha256(json.dumps(words).encode()).hexdigest() == (
+            "cfdcbb3eeecce3d2805eb290b63be4db2ec4ca1a3a3f6f1c4d2602262e02e5f9"
+        )
+
 
 class TestBiwords:
     def test_example_matrix(self):
@@ -63,6 +73,14 @@ class TestBiwords:
             bw.Biword(((0, 1), (1, 1)))  # zero entry in a multi-column biword
         with pytest.raises(ValueError):
             bw.word_to_biword("10")
+
+    def test_non_binary_words_refused(self):
+        # read as blocks, "012" would encode as ((1, 2),), which decodes to "011"
+        with pytest.raises(ValueError, match=r"^not a binary word: '012'$"):
+            bw.word_to_biword("012")
+        for f in (bw.reverse_complement, bw.rc_runsort):
+            with pytest.raises(ValueError, match=r"^not a binary word: '0a1'$"):
+                f("0a1")
 
     def test_roundtrip_exhaustive(self):
         for tot in range(0, 13):
@@ -158,6 +176,28 @@ class TestPartitionFixedPoints:
     def test_partition_count_both_routes(self):
         for n in range(0, 14):
             assert bw.partition_count(n) == sum(1 for _ in bw.partitions(n))
+
+    def test_partition_count_pinned(self):
+        assert [bw.partition_count(n) for n in range(61)] == [
+            1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+            385, 490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565,
+            5604, 6842, 8349, 10143, 12310, 14883, 17977, 21637, 26015, 31185,
+            37338, 44583, 53174, 63261, 75175, 89134, 105558, 124754, 147273,
+            173525, 204226, 239943, 281589, 329931, 386155, 451276, 526823,
+            614154, 715220, 831820, 966467,
+        ]
+
+
+@pytest.mark.parametrize("name, args, text", [
+    ("partition_count", (-1,), "n must be non-negative"),
+    ("partition_count", (-3,), "n must be non-negative"),
+    ("roselle_identity_check", (-1, 6, 6), "orders must be non-negative"),
+    ("roselle_identity_check", (2, -1, 3), "orders must be non-negative"),
+    ("z_pair_product_table", (1, -1, 2), "orders must be non-negative"),
+])
+def test_negative_sizes_refused(name, args, text):
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        getattr(bw, name)(*args)
 
 
 class TestCountIdentities:

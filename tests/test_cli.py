@@ -1,4 +1,5 @@
 """Command-line interface: outputs, formats, exit codes."""
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -59,6 +60,11 @@ def test_stat_parse_error(capsys):
 def test_stat_word_which_mismatch(capsys):
     code, _, err = run(capsys, "stat", "--word", "0101", "--which", "pkv")
     assert code == 2
+
+
+def test_stat_refuses_non_binary_word(capsys):
+    code, out, err = run(capsys, "stat", "--word", "01a", "--which", "des")
+    assert (code, out, err) == (2, "", "error: not a binary word: '01a'\n")
 
 
 def test_tables_a(capsys):
@@ -194,6 +200,16 @@ def test_verify_eta_reports_failure_rows(capsys, monkeypatch):
     data = json.loads(out)
     assert code == 1 and data["verdict"] is False and data["n_failures"] == 2
     assert data["failures"] == [[[2, 1, 3], [2, 1, 3]], [[2, 3, 1], [2, 3, 1]]]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("binary",), "f06c1070cd982d2bd1479f2258466d683e6fbd6d662325478c0165d49530dfb4"),
+    (("mip", "--max-n", "11"), "bd566af45d3ff8c79fc05e8f5edd33d18a78b21bfe3dcf4279ef162f786e562b"),
+    (("egf",), "4494e75e48aa563cabc20cc339170b868a938d7336c136b9876805a1d155415d"),
+])
+def test_verify_json_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_binary_reports_problem_rows(capsys, monkeypatch):
