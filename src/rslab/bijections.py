@@ -29,8 +29,9 @@ admissibility"; the non-admissible case-5 permutations fall into either
 the swap image or one of five residual classes permuted by the
 ``flip_tails`` involution.  One classifier decides this three-way
 branch from the runs of p, and every case-5 route takes its verdict;
-the tests check its swap-image verdict against ``swap_tail_inverse``,
-which builds the preimage.
+the tests check its swap-image verdict against a checked inverse of
+``swap_tail`` and its residual classes against the flips, in the test
+oracle ``tests/bijection_oracle.py``.
 
 One function, ``_insert_case``, decides the five cases for both maps,
 on a view built once per word: the word the rule reads, its peak values,
@@ -48,7 +49,6 @@ every entry of the table of S_{n-1} to get the table of S_n.
 """
 from __future__ import annotations
 
-import csv
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -61,7 +61,6 @@ from .perms import (
     is_runsorted,
     peak_values,
     runs_positions,
-    run_starts,
     runsorted_slope_set,
     spv,
 )
@@ -221,27 +220,24 @@ def insert_after(a: Anchor, p: Sequence[int]) -> Word:
 CaseView = tuple[Word, set[int], dict[int, int | None]]
 
 
-def _case_view(kind: str, p: Word) -> CaseView:
+def _peaks_view(p: Word) -> CaseView:
     """
-    Everything the five-case rule reads for the anchors of p: the word w
-    it reads, with its peak values, where w = p for kind = "peaks"
-    (``peak_insert``) and w = runsort(p) for kind = "sorted"
-    (``lex_peak_insert``); and the letter after each letter of p (None
-    after the last one).
+    Everything the five-case rule of ``peak_insert`` reads for the anchors
+    of p: the word w it reads, here p itself, with its peak values; and
+    the letter after each letter of p (None after the last one).
+    ``_sorted_view`` is the view of ``lex_peak_insert``, with w =
+    runsort(p).
     """
-    if kind not in ("peaks", "sorted"):
-        raise ValueError("kind must be 'peaks' or 'sorted'")
-    if kind == "sorted":
-        return _sorted_view(p, _lex_runs(p))
     return p, peak_values(p), dict(zip(p, p[1:] + (None,)))
 
 
 def _insert_case(a: Anchor, view: CaseView) -> tuple[int, int | None]:
     """
-    The five-case rule of the insertion maps on ``view = _case_view(kind,
-    p)``, together with the letter the case turns on: a for case 3, the
-    traded peak value for case 4, and for case 5 the letter k after a in p
-    when a < k (k then starts a new run of the image), None otherwise.
+    The five-case rule of the insertion maps on the view of p,
+    ``_peaks_view(p)`` or ``_sorted_view(p, rr)``, together with the
+    letter the case turns on: a for case 3, the traded peak value for
+    case 4, and for case 5 the letter k after a in p when a < k (k then
+    starts a new run of the image), None otherwise.
 
     Case 4 trades the letter after a in w, which is also the letter after a
     in p: a run start is never a peak of runsort(p).
@@ -267,7 +263,7 @@ def peak_insert(a: Anchor, p: Sequence[int]) -> tuple[Word, int]:
     applies for the plain peak-value update.
     """
     p = tuple(p)
-    return insert_after(a, p), _insert_case(a, _case_view("peaks", p))[0]
+    return insert_after(a, p), _insert_case(a, _peaks_view(p))[0]
 
 
 def peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
@@ -292,7 +288,8 @@ def _joined(rr: LexRuns) -> Word:
 
 
 def _sorted_view(p: Word, rr: LexRuns) -> CaseView:
-    """``_case_view("sorted", p)`` read off ``rr = _lex_runs(p)``."""
+    """The view of p that ``lex_peak_insert`` reads, with w = runsort(p),
+    read off ``rr = _lex_runs(p)``."""
     w = _joined(rr)
     return w, peak_values(w), dict(zip(p, p[1:] + (None,)))
 
@@ -364,34 +361,12 @@ def _swap_tail(p: Word, k: int, rr: LexRuns) -> Word:
     return tuple(rest[: pos_k + 1] + upper + rest[pos_k + 1 :])
 
 
-def swap_tail_inverse(a: int, p: Sequence[int]) -> Word | None:
-    """
-    Recover the unique preimage under ``swap_tail`` with the same anchor,
-    or None when p is not in the swap image for a.
-    """
-    p = tuple(p)
-    i = p.index(a)
-    if i + 1 >= len(p) or p[i + 1] < a:
-        return None
-    sigma = _swap_tail_inverse(a, p, _lex_runs(p))
-    if sigma is None:
-        return None
-    try:
-        # swap_tail raises unless k is a sorted peak of sigma and the pair
-        # is not peak admissible
-        if sigma[sigma.index(a) + 1] == p[i + 1] and swap_tail(a, sigma) == p:
-            return sigma
-    except (IndexError, ValueError):
-        return None
-    return None
-
-
 def _swap_tail_inverse(a: int, p: Word, rr: LexRuns) -> Word | None:
     """The one candidate preimage of p under ``swap_tail``, on the caller's
     ``rr = _lex_runs(p)``, for a followed in p by a larger letter, or None
     when there is none.  It is the preimage whenever p is in the swap image
-    for a (the case-5 verdict None); otherwise ``swap_tail_inverse``
-    confirms it."""
+    for a (the case-5 verdict None); otherwise the tests' checked inverse
+    confirms it against ``swap_tail``."""
     i = p.index(a)
     k = p[i + 1]
     a_run = next((w, s, e) for w, s, e in rr if s <= i < e)
@@ -464,22 +439,6 @@ def slope_admissible_by_definition(p: Sequence[int], a: int) -> bool:
     p = tuple(p)
     n = len(p) + 1
     return spv(insert_after(a, p)) == spv(p) | {n}
-
-
-def residual_class(p: Sequence[int], a: int) -> int:
-    """
-    Classify a case-5 pair that is neither slope admissible nor in the
-    swap image into one of five residual classes (1..5), read off from
-    the run straddling k with the largest start.  The classes are pairwise
-    disjoint and ``flip_tails`` fixes class 1 setwise while exchanging
-    2 <-> 3 and 4 <-> 5.  Any other pair raises ValueError.
-    """
-    p = tuple(p)
-    cls = _case5_class(p, a, _lex_runs(p))
-    if not cls:
-        raise ValueError("pair is not residual: outside the slope set, "
-                         "slope admissible or in the swap image")
-    return cls
 
 
 def residual_census(n: int, a: int) -> dict[int, list[Word]]:
@@ -607,24 +566,6 @@ def lex_peak_insert_inverse(q: Sequence[int]) -> tuple[Anchor, Word]:
     return a, p
 
 
-def run_start_case(kind: str, a: Anchor, p: Sequence[int]) -> tuple[int, set[int]]:
-    """
-    Case label and predicted run-start set of the image, for
-    kind = "peaks" (plain insertion) or "sorted" (lex insertion).  The
-    letter k in the rule is always the successor of a inside p itself:
-
-    1 -> add n; 2, 3 -> unchanged; 4 -> add k; 5 -> add k iff a < k.
-    """
-    p = tuple(p)
-    rs = run_starts(p)
-    case, k = _insert_case(a, _case_view(kind, p))
-    if case == 1:
-        return case, rs | {len(p) + 1}
-    if case >= 4 and k is not None:
-        return case, rs | {k}
-    return case, rs
-
-
 # ---------------------------------------------------------------------------
 # The peak-transport bijection
 # ---------------------------------------------------------------------------
@@ -639,13 +580,13 @@ def _anchor_matching(sig: Word, img: Word, img_view: CaseView) -> dict[Anchor, A
     bucket both by the case rule's own output, (case, letter), and pair
     them inside each bucket by increasing anchor, which makes the matching
     deterministic.  Cases 1 and 2 are singletons; cases 3 and 4 agree on
-    the peak value traded; case 5 splits on the new run start, as in
-    ``run_start_case``.  Buckets of unequal size would mean the invariants
-    are broken, and raise immediately.
+    the peak value traded; case 5 splits on the new run start k, the
+    letter after a when a < k.  Buckets of unequal size would mean the
+    invariants are broken, and raise immediately.
     """
     left: dict[tuple, list[Anchor]] = {}
     right: dict[tuple, list[Anchor]] = {}
-    sig_view = _case_view("peaks", sig)
+    sig_view = _peaks_view(sig)
     for a in anchor_labels(len(sig) + 1):
         left.setdefault(_insert_case(a, sig_view), []).append(a)
         right.setdefault(_insert_case(a, img_view), []).append(a)
@@ -719,6 +660,8 @@ def build_peak_transport(n: int) -> dict[Word, Word]:
 
 def transport_to_csv(table: dict[Word, Word], path: str) -> None:
     """Write the table as two comma-separated one-line words per row."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma", "image"])

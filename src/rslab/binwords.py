@@ -10,12 +10,12 @@ A maximal weakly increasing segment of a binary word always has the shape
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .perms import check_cap, runs_positions
 from .polynomials import Poly
 
@@ -27,7 +27,9 @@ def check_binary_word(w: str) -> None:
 
 
 def bw_runs(w: str) -> list[str]:
-    """Maximal weakly increasing segments, in occurrence order."""
+    """Maximal weakly increasing segments, in occurrence order; the one
+    letter check of every helper below."""
+    check_binary_word(w)
     return [w[a:b] for a, b in runs_positions(w)] if w else []
 
 
@@ -43,7 +45,7 @@ def is_runsorted_word(w: str) -> bool:
 
 def run_blocks(w: str) -> list[tuple[int, int]]:
     """(zeros, ones) per run, in occurrence order."""
-    return [(r.count("0"), len(r) - r.count("0")) for r in bw_runs(w)]
+    return [(r.count("0"), r.count("1")) for r in bw_runs(w)]
 
 
 def enumerate_runsorted_words(a: int, b: int) -> Iterator[str]:
@@ -81,8 +83,7 @@ def count_runsorted_words(a: int, b: int) -> int:
 # Biwords
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Biword:
+class Biword(Record):
     """
     Two-row array of column pairs (u_i, v_i): top row weakly increasing,
     and columns with equal tops sorted by weakly decreasing bottom (the
@@ -91,21 +92,35 @@ class Biword:
 
     Zero entries appear only in the degenerate one-column biwords coming
     from the pure words 0^a and 1^b; with two or more columns all entries
-    are positive.
+    are positive.  A biword is immutable and hashable.
     """
 
-    columns: tuple[tuple[int, int], ...]
+    __slots__ = ("columns",)
 
-    def __post_init__(self):
-        cols = self.columns
-        for u, v in cols:
+    def __init__(self, columns: tuple[tuple[int, int], ...]):
+        for u, v in columns:
             if u < 0 or v < 0 or (u, v) == (0, 0):
                 raise ValueError(f"bad biword column {(u, v)}")
-        if len(cols) > 1 and any(u == 0 or v == 0 for u, v in cols):
+        if len(columns) > 1 and any(u == 0 or v == 0 for u, v in columns):
             raise ValueError("zero entries only allowed in one-column biwords")
-        for (u1, v1), (u2, v2) in zip(cols, cols[1:]):
+        for (u1, v1), (u2, v2) in zip(columns, columns[1:]):
             if u1 > u2 or (u1 == u2 and v1 < v2):
                 raise ValueError("columns out of canonical order")
+        object.__setattr__(self, "columns", columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # pickle and copy rebuild a biword through its constructor, since
+        # no attribute can be set on one
+        return Biword, (self.columns,)
 
     @property
     def top(self) -> tuple[int, ...]:
@@ -124,10 +139,10 @@ class Biword:
 
 def word_to_biword(w: str) -> Biword:
     """Column i holds the zero/one counts of the (r+1-i)-th run."""
-    check_binary_word(w)
-    if not is_runsorted_word(w):
+    runs = bw_runs(w)
+    if "".join(sorted(runs)) != w:
         raise ValueError(f"word is not run-sorted: {w!r}")
-    return Biword(tuple(reversed(run_blocks(w))))
+    return Biword(tuple((r.count("0"), r.count("1")) for r in reversed(runs)))
 
 
 def biword_to_word(bw: Biword) -> str:

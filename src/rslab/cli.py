@@ -208,9 +208,7 @@ def _suite_same_phase(args) -> dict:
 
 def _suite_egf(args) -> dict:
     order = args.order
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    reports = {
+    reports = {  # the first report refuses a negative order
         "runsorted": sr.egf_runsorted_report(order),
         "peaks": sr.egf_peaks_report(min(order, 10)),
         "binary": sr.egf_binary_report(max(order, 12)),

@@ -17,11 +17,11 @@ chain needs no rational division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Literal, Sequence
 
+from ._record import Record
 from .polynomials import FAMILIES, MULTIVAR_FAMILIES, MPoly, Poly, _check_exact, lookup_family
 from .prng import SplitMix64, rational_in_0_10
 
@@ -180,26 +180,27 @@ def root_bound(p: Poly) -> Fraction:
     return 1 + max((abs(Fraction(c)) / lead for c in p.coeffs[:-1]), default=Fraction(0))
 
 
-@dataclass
-class IsolatedRoot:
+class IsolatedRoot(Record):
     """One distinct real root: an exact rational or an isolating interval
     (lo, hi] on which the square-free part has exactly one sign change;
     interval endpoints are never roots."""
 
-    kind: Literal["point", "interval"]
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int = 1
+    __slots__ = ("kind", "lo", "hi", "multiplicity")
+
+    def __init__(self, kind: Literal["point", "interval"], lo: Fraction, hi: Fraction,
+                 multiplicity: int = 1):
+        self.kind, self.lo, self.hi, self.multiplicity = kind, lo, hi, multiplicity
 
     def approx(self) -> float:
         return float(self.lo) if self.kind == "point" else float((self.lo + self.hi) / 2)
 
 
-@dataclass
-class RootIsolation:
-    poly: Poly
-    square_free: Poly
-    roots: list[IsolatedRoot] = field(default_factory=list)  # ascending
+class RootIsolation(Record):
+    __slots__ = ("poly", "square_free", "roots")
+
+    def __init__(self, poly: Poly, square_free: Poly, roots: list[IsolatedRoot] | None = None):
+        self.poly, self.square_free = poly, square_free
+        self.roots = [] if roots is None else roots  # ascending
 
 
 def _bisect_once(counts: _ChainCounts, r: IsolatedRoot) -> IsolatedRoot:
@@ -287,13 +288,13 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootIsolation:
     return out
 
 
-@dataclass
-class InterlaceReport:
-    f: Poly
-    g: Poly
-    verdict: bool
-    reason: str
-    witness: list[tuple[str, float]] = field(default_factory=list)
+class InterlaceReport(Record):
+    __slots__ = ("f", "g", "verdict", "reason", "witness")
+
+    def __init__(self, f: Poly, g: Poly, verdict: bool, reason: str,
+                 witness: list[tuple[str, float]] | None = None):
+        self.f, self.g, self.verdict, self.reason = f, g, verdict, reason
+        self.witness = [] if witness is None else witness
 
     def to_json(self) -> dict:
         return {

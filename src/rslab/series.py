@@ -12,7 +12,8 @@ their parts odd in s, written down directly, so every coefficient is a
 polynomial in t.
 
 Everything is truncated at a fixed order (default 12) and all arithmetic
-is exact.
+is exact.  Every series built from an order starts from ``exp_u`` or
+``tan_u``, which refuse a negative one.
 """
 from __future__ import annotations
 
@@ -95,12 +96,19 @@ def series_div(f: Series, g: Series, one) -> Series:
     return Series(out)
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be non-negative")
+
+
 def exp_u(order: int) -> Series:
+    _check_order(order)
     return Series([Fraction(1, factorial(i)) for i in range(order + 1)])
 
 
 def tan_u(order: int) -> Series:
     """tan u = sin u / cos u, exact."""
+    _check_order(order)
     sin = [Fraction(0)] * (order + 1)
     cos = [Fraction(0)] * (order + 1)
     for m in range(0, order + 1):

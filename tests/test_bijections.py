@@ -10,13 +10,15 @@ from rslab import bijections as bj
 from rslab import perms
 from rslab.perms import descent_set, peak_values, run_starts, runs, runsort, spv
 
+import bijection_oracle as oracle
+
 P = lambda s: tuple(int(c) for c in s)
 
 
 def in_swap_image(p, a) -> bool:
     """Swap-image membership by building the preimage; the oracle for the
     None verdict of the case-5 classifier."""
-    return bj.swap_tail_inverse(a, tuple(p)) is not None
+    return oracle.swap_tail_inverse(a, tuple(p)) is not None
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -183,7 +185,7 @@ class TestSwap:
                     if k not in spv(p) or bj.is_peak_admissible(p, a):
                         continue
                     swapped = bj.swap_tail(a, p)
-                    assert bj.swap_tail_inverse(a, swapped) == p
+                    assert oracle.swap_tail_inverse(a, swapped) == p
                     assert in_swap_image(swapped, a)
                     image = bj.insert_after(a, swapped)
                     assert spv(image) == (spv(p) - {k}) | {n}
@@ -200,7 +202,7 @@ class TestSwap:
                     if bj._insert_case(a, view)[0] != 5 or bj._case5_class(p, a, rr) is not None:
                         continue
                     pre = bj._swap_tail_inverse(a, p, rr)
-                    assert pre is not None and pre == bj.swap_tail_inverse(a, p), (p, a)
+                    assert pre is not None and pre == oracle.swap_tail_inverse(a, p), (p, a)
                     repaired += 1
         assert repaired > 100
 
@@ -240,12 +242,12 @@ class TestResidualClasses:
                     if a not in slopes:
                         assert not swap, (p, a)
                         with pytest.raises(ValueError):
-                            bj.residual_class(p, a)
+                            oracle.residual_class(p, a)
                         continue
                     slope = bj.slope_admissible_by_definition(p, a)
                     assert bj.is_slope_admissible(p, a) == slope, (p, a)
                     try:
-                        cls = bj.residual_class(p, a)
+                        cls = oracle.residual_class(p, a)
                     except ValueError:
                         cls = None
                     assert (cls is None) == (slope or swap), (p, a)
@@ -255,7 +257,7 @@ class TestResidualClasses:
     def test_residual_class_refuses_pairs_outside_its_domain(self):
         for p, a in (((1, 2, 3), 1), ((5, 3, 4, 1, 2), 4), ((2, 1), 1)):
             with pytest.raises(ValueError):
-                bj.residual_class(p, a)
+                oracle.residual_class(p, a)
 
     def test_spv_update_formulas(self):
         # each class updates the sorted peak set by its own recipe
@@ -265,7 +267,7 @@ class TestResidualClasses:
                 for a in perms.slope_set(p):
                     if bj.is_slope_admissible(p, a) or in_swap_image(p, a):
                         continue
-                    cls = bj.residual_class(p, a)
+                    cls = oracle.residual_class(p, a)
                     rr_ = sorted((p[s:e] for s, e in perms.runs_positions(p)))
                     i = p.index(a)
                     k = p[i + 1]
@@ -293,9 +295,9 @@ class TestFlip:
 
     def test_printed_table(self):
         for src, c_src, dst, c_dst in FLIP_TABLE:
-            assert bj.residual_class(P(src), 1) == c_src
+            assert oracle.residual_class(P(src), 1) == c_src
             assert bj.flip_tails(1, P(src)) == P(dst)
-            assert bj.residual_class(P(dst), 1) == c_dst
+            assert oracle.residual_class(P(dst), 1) == c_dst
             assert bj.flip_tails(1, P(dst)) == P(src)
 
     def test_involution_and_class_action(self):
@@ -308,7 +310,7 @@ class TestFlip:
                         q = bj.flip_tails(a, p)
                         assert bj.flip_tails(a, q) == p
                         target = {1: 1, 2: 3, 3: 2, 4: 5, 5: 4}[cls]
-                        assert bj.residual_class(q, a) == target
+                        assert oracle.residual_class(q, a) == target
                         assert spv(p) | {n} == spv(bj.insert_after(a, q))
 
     def test_domain_guard(self):
@@ -368,12 +370,12 @@ class TestLexPeakInsert:
                         ("peaks", bj.peak_insert(a, p)[0]),
                         ("sorted", bj.lex_peak_insert(a, p)[0]),
                     ):
-                        case, predicted = bj.run_start_case(kind, a, p)
+                        case, predicted = oracle.run_start_case(kind, a, p)
                         assert run_starts(image) == predicted, (kind, a, p)
 
     def test_front_adds_max_run_start(self):
         p = (2, 1, 3)
-        _, predicted = bj.run_start_case("sorted", bj.FRONT, p)
+        _, predicted = oracle.run_start_case("sorted", bj.FRONT, p)
         assert predicted == run_starts(p) | {4}
 
     @pytest.mark.parametrize("a", [0, 4])
@@ -382,8 +384,8 @@ class TestLexPeakInsert:
         # letter must not read as case 5
         p = (2, 1, 3)
         for route in (
-            lambda: bj.run_start_case("peaks", a, p),
-            lambda: bj.run_start_case("sorted", a, p),
+            lambda: oracle.run_start_case("peaks", a, p),
+            lambda: oracle.run_start_case("sorted", a, p),
             lambda: bj.lex_peak_insert(a, p),
             lambda: bj.is_peak_admissible(p, a),
             lambda: bj.swap_tail(a, p),
@@ -406,7 +408,7 @@ def test_residual_census_matches_unfiltered_scan():
             want: dict[int, list] = {1: [], 2: [], 3: [], 4: [], 5: []}
             for p in perms.enumerate_sn(m):
                 try:
-                    want[bj.residual_class(p, a)].append(p)
+                    want[oracle.residual_class(p, a)].append(p)
                 except ValueError:
                     pass
             assert bj.residual_census(m, a) == want, (m, a)
@@ -437,7 +439,7 @@ def test_lex_insertion_pinned():
     for m in range(1, 7):
         for p in itertools.permutations(range(1, m + 1)):
             for a in bj.anchor_labels(m + 1):
-                case, starts = bj.run_start_case("sorted", a, p)
+                case, starts = oracle.run_start_case("sorted", a, p)
                 rows.append((p, a, bj.lex_peak_insert(a, p), case, sorted(starts)))
     assert len(rows) == 5912
     assert _digest(rows) == (

@@ -1,7 +1,9 @@
 """Run-sorted binary words, biwords, symmetry, counting identities."""
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -63,22 +65,41 @@ class TestBiwords:
         assert bw.word_to_biword("").to_json() == [[], []]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bad biword column \(0, 0\)$"):
             bw.Biword(((0, 0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^columns out of canonical order$"):
             bw.Biword(((2, 1), (1, 1)))  # top row decreasing
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^columns out of canonical order$"):
             bw.Biword(((1, 1), (1, 2)))  # tie must sort by falling bottom
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero entries only allowed in one-column biwords$"):
             bw.Biword(((0, 1), (1, 1)))  # zero entry in a multi-column biword
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^word is not run-sorted: '10'$"):
             bw.word_to_biword("10")
+
+    def test_record_semantics(self):
+        # pinned at the dataclass version: repr text, equality of columns
+        # against the same class only, the hash of the field tuple, and
+        # no attribute can be set or deleted
+        b = bw.word_to_biword("0011011")
+        assert repr(b) == "Biword(columns=((1, 2), (2, 2)))"
+        assert b == bw.Biword(columns=((1, 2), (2, 2))) and b != bw.Biword(((3, 4),))
+        assert b != ((1, 2), (2, 2))
+        assert hash(b) == hash(bw.Biword(((1, 2), (2, 2)))) == hash((((1, 2), (2, 2)),))
+        assert len({b, bw.Biword(((1, 2), (2, 2)))}) == 1
+        for change in (lambda: setattr(b, "columns", ()), lambda: setattr(b, "rows", 2),
+                       lambda: delattr(b, "columns")):
+            with pytest.raises(AttributeError):
+                change()
+        assert b.columns == ((1, 2), (2, 2))
+        for twin in (pickle.loads(pickle.dumps(b)), copy.copy(b), copy.deepcopy(b)):
+            assert twin == b and hash(twin) == hash(b)
 
     def test_non_binary_words_refused(self):
         # read as blocks, "012" would encode as ((1, 2),), which decodes to "011"
         with pytest.raises(ValueError, match=r"^not a binary word: '012'$"):
             bw.word_to_biword("012")
-        for f in (bw.reverse_complement, bw.rc_runsort):
+        for f in (bw.reverse_complement, bw.rc_runsort, bw.bw_runs, bw.bw_runsort,
+                  bw.run_blocks, bw.is_runsorted_word):
             with pytest.raises(ValueError, match=r"^not a binary word: '0a1'$"):
                 f("0a1")
 

@@ -1,4 +1,6 @@
 """Sturm machinery, isolation, interlacing, stability sampling."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -100,6 +102,53 @@ class TestIsolation:
             p = Poly(coeffs)
             iso = rr.isolate_real_roots(p)
             assert len(iso.roots) == rr.count_real_roots(euclid.square_free(p))
+
+
+class TestRecords:
+    """The three result records: repr text (pinned at the dataclass
+    version), equality of fields against the same class only, fresh
+    default lists, and no hash."""
+
+    def test_reprs_pinned(self):
+        root = rr.IsolatedRoot("interval", Fraction(-3, 2), Fraction(1))
+        assert repr(root) == ("IsolatedRoot(kind='interval', lo=Fraction(-3, 2), "
+                              "hi=Fraction(1, 1), multiplicity=1)")
+        assert repr(rr.isolate_real_roots(Poly([2, 3, 1]))) == (
+            "RootIsolation(poly=Poly(t^2+3t+2), square_free=Poly(t^2+3t+2), roots=["
+            "IsolatedRoot(kind='interval', lo=Fraction(-11, 4), hi=Fraction(-13, 8), "
+            "multiplicity=1), IsolatedRoot(kind='interval', lo=Fraction(-13, 8), "
+            "hi=Fraction(-1, 2), multiplicity=1)])")
+        assert repr(interlaces(Poly([2, 3, 1]), Poly([1, 1]))) == (
+            "InterlaceReport(f=Poly(t^2+3t+2), g=Poly(t+1), verdict=True, "
+            "reason='chain holds', witness=[('g', -0.5), ('f', -1.0625), ('f', -2.1875)])")
+
+    def test_equality_and_defaults(self):
+        point = rr.IsolatedRoot("point", Fraction(0), Fraction(0), 2)
+        assert point == rr.IsolatedRoot(kind="point", lo=0, hi=0, multiplicity=2)
+        assert point != rr.IsolatedRoot("point", Fraction(0), Fraction(0))
+        assert point != ("point", 0, 0, 2)
+        p = Poly([1, 1])
+        a, b = rr.RootIsolation(p, p), rr.RootIsolation(poly=p, square_free=p)
+        assert a == b and a.roots == [] and a.roots is not b.roots
+        assert a != rr.RootIsolation(p, p, [point])
+        r, s = rr.InterlaceReport(p, p, True, "x"), rr.InterlaceReport(p, p, True, "x")
+        assert r == s and r.witness == [] and r.witness is not s.witness
+        assert r != rr.InterlaceReport(p, p, True, "x", [("f", -1.0)])
+        assert rr.isolate_real_roots(Poly([6, 5, 1])) == rr.isolate_real_roots(Poly([6, 5, 1]))
+
+    def test_records_unhashable(self):
+        p = Poly([1, 1])
+        for record in (rr.IsolatedRoot("point", Fraction(0), Fraction(0)),
+                       rr.RootIsolation(p, p), rr.InterlaceReport(p, p, True, "x")):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_records_pickle_and_copy(self):
+        p = Poly([6, 5, 1])
+        for record in (rr.isolate_real_roots(p), interlaces(p, Poly([2, 1]))):
+            for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                         copy.deepcopy(record)):
+                assert twin == record
 
 
 class TestInterlace:

@@ -125,3 +125,11 @@ def test_egf_binary():
         assert g.coeffs[n] * factorial(n) == binary_descent_poly(n)
     assert egf_binary_report(12)["ok"]
 
+
+@pytest.mark.parametrize("entry", [
+    exp_u, tan_u, egf_runsorted_descents, egf_runsorted_report, sheffer_product_check,
+    egf_peaks, egf_peaks_report, expected_peaks_series, egf_binary_descents, egf_binary_report,
+], ids=lambda f: f.__name__)
+def test_negative_order_refused(entry):
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        entry(-1)

@@ -177,7 +177,8 @@ def test_csv_export(tmp_path):
     table = bj.build_peak_transport(3)
     path = tmp_path / "transport.csv"
     bj.transport_to_csv(table, str(path))
-    text = path.read_text().splitlines()
-    assert text[0] == "sigma,image"
-    assert len(text) == 7
-    assert text[1].startswith("1 2 3,")
+    # the csv module's default dialect ends each row in \r\n
+    assert path.read_bytes() == (
+        b"sigma,image\r\n1 2 3,1 2 3\r\n1 3 2,1 3 2\r\n2 1 3,2 3 1\r\n"
+        b"2 3 1,2 1 3\r\n3 1 2,3 1 2\r\n3 2 1,3 2 1\r\n"
+    )
